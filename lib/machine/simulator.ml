@@ -21,7 +21,8 @@ type stats = {
 }
 
 (* A message in flight: the data of one cross-processor edge delivery,
-   walking its shortest route one store-and-forward hop at a time. *)
+   walking its shortest route one store-and-forward hop at a time (a
+   wormhole message crosses it in one step). *)
 type message = {
   id : int;  (* dense send-order id, 0-based *)
   volume : int;
@@ -40,11 +41,15 @@ type link_state = {
   mutable backlog_peak : int;
 }
 
+(* A message reaching a FIFO link queues behind its occupant and behind
+   every earlier waiter. *)
+let must_wait l now = l.free_at > now || not (Queue.is_empty l.waiting)
+
 type event =
   | Complete of int  (* instance index *)
   | Hop_done of message  (* message finished occupying a link *)
-  | Deliver of message  (* contention-free arrival *)
-  | Hop_attempt of message  (* fault mode: (re)try the current hop *)
+  | Deliver of message  (* wormhole arrival *)
+  | Hop_attempt of message  (* retry the current hop after an outage or loss *)
 
 let static_bound sched ~iterations =
   let dfg = Schedule.dfg sched in
@@ -66,479 +71,15 @@ let h_backlog = Obs.Histogram.histogram "simulator.link_backlog"
 let h_slip = Obs.Histogram.histogram "simulator.instance_slip"
 let h_retry_backoff = Obs.Histogram.histogram "simulator.retry_backoff"
 
-(* The fault-free path.  Kept exactly as it always was — fault support
-   lives in [execute_faulty] below, so a run without [?faults] is
-   byte-identical to earlier releases (pinned by test). *)
-let execute_clean ~policy ~transport ~recorder sched topo ~iterations =
-  if iterations < 1 then invalid_arg "Simulator.execute: iterations < 1";
-  Obs.Trace.with_span "simulator.execute"
-    ~args:
-      [
-        ("iterations", string_of_int iterations);
-        ( "policy",
-          match policy with
-          | Contention_free -> "contention-free"
-          | Fifo_links -> "fifo-links" );
-        ( "transport",
-          match transport with
-          | Store_and_forward -> "store-and-forward"
-          | Wormhole -> "wormhole" );
-      ]
-  @@ fun () ->
-  if not (Schedule.assigned_all sched) then
-    invalid_arg "Simulator.execute: schedule has unassigned nodes";
-  let np = Topology.n_processors topo in
-  if np <> Schedule.n_processors sched then
-    invalid_arg "Simulator.execute: topology size mismatch";
-  let dfg = Schedule.dfg sched in
-  let n = Csdfg.n_nodes dfg in
-  let n_inst = n * iterations in
-  let idx v i = (i * n) + v in
-  let node_of inst = inst mod n in
-  let iter_of inst = inst / n in
-
-  let emit ev =
-    match recorder with None -> () | Some r -> Events.record r ev
-  in
-
-  (* The static promise for each instance: iteration [k] of node [v]
-     starts at [k * L + CB(v) - 1] on the virtual clock (time 0 = the
-     first control step).  Execution behind this is a {e slip}. *)
-  let len = Schedule.length sched in
-  let cb0 = Array.init n (fun v -> Schedule.cb sched v - 1) in
-  let static_start inst = (iter_of inst * len) + cb0.(node_of inst) in
-
-  (* Per-processor execution order: static (iteration, CB, node). *)
-  let order = Array.make np [] in
-  for i = iterations - 1 downto 0 do
-    List.iter
-      (fun v ->
-        let p = Schedule.pe sched v in
-        order.(p) <- idx v i :: order.(p))
-      (List.sort
-         (fun a b ->
-           (* reversed, since we cons *)
-           match compare (Schedule.cb sched b) (Schedule.cb sched a) with
-           | 0 -> compare b a
-           | c -> c)
-         (Csdfg.nodes dfg))
-  done;
-  let queue = Array.map Array.of_list order in
-  let head = Array.make np 0 in
-  let pe_free = Array.make np 0 in
-
-  (* Input bookkeeping.  [last_src] / [last_msg] remember the producer
-     node and message id of each instance's latest-arriving input, so a
-     late start can be attributed to the edge that bound it. *)
-  let missing = Array.make n_inst 0 in
-  let ready_at = Array.make n_inst 0 in
-  let last_src = Array.make n_inst (-1) in
-  let last_msg = Array.make n_inst (-1) in
-  List.iter
-    (fun (e : Csdfg.attr G.edge) ->
-      for i = 0 to iterations - 1 do
-        if i - Csdfg.delay e >= 0 then
-          missing.(idx e.G.dst i) <- missing.(idx e.G.dst i) + 1
-      done)
-    (Csdfg.edges dfg);
-
-  (* Links, keyed by (src * np + dst). *)
-  let links = Hashtbl.create 64 in
-  let link a b =
-    let key = (a * np) + b in
-    match Hashtbl.find_opt links key with
-    | Some l -> l
-    | None ->
-        let l = { free_at = 0; waiting = Queue.create (); backlog_peak = 0 } in
-        Hashtbl.add links key l;
-        l
-  in
-
-  let events = ref Digraph.Pqueue.empty in
-  let push t ev = events := Digraph.Pqueue.insert !events t ev in
-
-  let completion = Array.make n_inst (-1) in
-  let makespan = ref 0 in
-  let message_count = ref 0 in
-  let hop_count = ref 0 in
-  let busy = Array.make np 0 in
-
-  (* Start every ready instance at the head of a processor's queue. *)
-  let rec try_start p now =
-    if head.(p) < Array.length queue.(p) then begin
-      let inst = queue.(p).(head.(p)) in
-      if missing.(inst) = 0 then begin
-        let v = node_of inst in
-        let dur = Schedule.duration sched ~node:v ~pe:p in
-        let prev_free = pe_free.(p) in
-        let start = max now (max ready_at.(inst) prev_free) in
-        let finish = start + dur in
-        pe_free.(p) <- finish;
-        busy.(p) <- busy.(p) + dur;
-        head.(p) <- head.(p) + 1;
-        completion.(inst) <- finish;
-        let slip = start - static_start inst in
-        Obs.Histogram.observe h_slip (max 0 slip);
-        emit (Instance_start { t = start; node = v; iter = iter_of inst; pe = p });
-        if slip > 0 then begin
-          Obs.Counters.incr c_stalls;
-          let cause =
-            if prev_free >= start && ready_at.(inst) < start then
-              Events.Pe_busy
-            else if last_src.(inst) >= 0 then
-              Events.Input_wait
-                { src = last_src.(inst); dst = v; msg = last_msg.(inst) }
-            else Events.Pe_busy
-          in
-          emit
-            (Stall
-               {
-                 t = start;
-                 node = v;
-                 iter = iter_of inst;
-                 pe = p;
-                 wait = slip;
-                 cause;
-               })
-        end;
-        push finish (Complete inst);
-        try_start p now
-      end
-    end
-  in
-
-  let arrive ~src ~msg inst t =
-    missing.(inst) <- missing.(inst) - 1;
-    if t >= ready_at.(inst) then begin
-      ready_at.(inst) <- t;
-      last_src.(inst) <- src;
-      last_msg.(inst) <- msg
-    end;
-    if missing.(inst) = 0 then
-      try_start (Schedule.pe sched (node_of inst)) t
-  in
-
-  let deliver msg now =
-    emit
-      (Msg_deliver
-         {
-           t = now;
-           msg = msg.id;
-           node = node_of msg.target;
-           iter = iter_of msg.target;
-           latency = now - msg.sent_at;
-         });
-    Obs.Histogram.observe h_latency (now - msg.sent_at);
-    arrive ~src:msg.src_node ~msg:msg.id msg.target now
-  in
-
-  (* Store-and-forward cost of one hop: link latency times data volume,
-     so weighted topologies are honoured. *)
-  let hop_time a b volume = Topology.hops topo a b * volume in
-  let route_links route =
-    let rec pairs = function
-      | a :: (b :: _ as rest) -> (a, b) :: pairs rest
-      | _ -> []
-    in
-    pairs route
-  in
-  let start_hop msg now =
-    match msg.remaining with
-    | a :: (b :: _ as rest) -> (
-        let final = List.nth rest (List.length rest - 1) in
-        match (transport, policy) with
-        | Store_and_forward, Contention_free ->
-            (* whole remaining route in one analytical step *)
-            let n_hops = List.length rest in
-            let transit = hop_time a final msg.volume in
-            hop_count := !hop_count + n_hops;
-            (match recorder with
-            | None -> ()
-            | Some _ ->
-                (* per-link completion times: the route is shortest, so
-                   the per-hop times sum to the analytic transit *)
-                let tcur = ref now in
-                let rec walk = function
-                  | x :: (y :: _ as more) ->
-                      let dt = hop_time x y msg.volume in
-                      tcur := !tcur + dt;
-                      emit
-                        (Msg_hop
-                           { t = !tcur; msg = msg.id; link = (x, y); busy = dt });
-                      walk more
-                  | _ -> ()
-                in
-                walk msg.remaining);
-            msg.remaining <- [ final ];
-            push (now + transit) (Deliver msg)
-        | Store_and_forward, Fifo_links ->
-            let l = link a b in
-            if l.free_at <= now then begin
-              let t = hop_time a b msg.volume in
-              l.free_at <- now + t;
-              hop_count := !hop_count + 1;
-              push (now + t) (Hop_done msg)
-            end
-            else begin
-              msg.queued_at <- now;
-              Obs.Counters.incr c_stalls;
-              Queue.add msg l.waiting;
-              l.backlog_peak <- max l.backlog_peak (Queue.length l.waiting);
-              Obs.Histogram.observe h_backlog (Queue.length l.waiting)
-            end
-        | Wormhole, Contention_free ->
-            let transit = Topology.hops topo a final + msg.volume - 1 in
-            hop_count := !hop_count + List.length rest;
-            (match recorder with
-            | None -> ()
-            | Some _ ->
-                List.iter
-                  (fun (x, y) ->
-                    emit
-                      (Msg_hop
-                         {
-                           t = now + transit;
-                           msg = msg.id;
-                           link = (x, y);
-                           busy = transit;
-                         }))
-                  (route_links msg.remaining));
-            msg.remaining <- [ final ];
-            push (now + transit) (Deliver msg)
-        | Wormhole, Fifo_links ->
-            (* Conservative circuit reservation: the whole path is held
-               for the transfer window, starting when every link frees. *)
-            let hops = route_links msg.remaining in
-            let start =
-              List.fold_left
-                (fun acc (x, y) -> max acc (link x y).free_at)
-                now hops
-            in
-            let window = Topology.hops topo a final + msg.volume - 1 in
-            if start > now then begin
-              Obs.Counters.incr c_stalls;
-              (* blame the link that frees last *)
-              let bx, by, _ =
-                List.fold_left
-                  (fun (bx, by, bf) (x, y) ->
-                    let f = (link x y).free_at in
-                    if f > bf then (x, y, f) else (bx, by, bf))
-                  (let x0, y0 = List.hd hops in
-                   (x0, y0, (link x0 y0).free_at))
-                  (List.tl hops)
-              in
-              emit
-                (Stall
-                   {
-                     t = start;
-                     node = node_of msg.target;
-                     iter = iter_of msg.target;
-                     pe = Schedule.pe sched (node_of msg.target);
-                     wait = start - now;
-                     cause = Events.Link_busy { link = (bx, by); msg = msg.id };
-                   })
-            end;
-            List.iter
-              (fun (x, y) ->
-                let l = link x y in
-                if start > now then l.backlog_peak <- max l.backlog_peak 1;
-                l.free_at <- start + window)
-              hops;
-            hop_count := !hop_count + List.length hops;
-            (match recorder with
-            | None -> ()
-            | Some _ ->
-                List.iter
-                  (fun (x, y) ->
-                    emit
-                      (Msg_hop
-                         {
-                           t = start + window;
-                           msg = msg.id;
-                           link = (x, y);
-                           busy = window;
-                         }))
-                  hops);
-            msg.remaining <- [ final ];
-            push (start + window) (Deliver msg))
-    | _ -> assert false
-  in
-
-  let deliver_or_continue msg now =
-    match msg.remaining with
-    | [ _ ] -> deliver msg now
-    | _ :: _ :: _ -> start_hop msg now
-    | [] -> assert false
-  in
-
-  let on_complete inst now =
-    if now > !makespan then makespan := now;
-    let u = node_of inst and i = iter_of inst in
-    let p = Schedule.pe sched u in
-    emit (Instance_finish { t = now; node = u; iter = i; pe = p });
-    List.iter
-      (fun (e : Csdfg.attr G.edge) ->
-        let j = i + Csdfg.delay e in
-        if j < iterations then begin
-          let w = e.G.dst in
-          let q = Schedule.pe sched w in
-          if q = p then arrive ~src:u ~msg:(-1) (idx w j) now
-          else begin
-            let id = !message_count in
-            incr message_count;
-            let msg =
-              {
-                id;
-                volume = Csdfg.volume e;
-                src_node = u;
-                target = idx w j;
-                sent_at = now;
-                queued_at = now;
-                remaining = Topology.route topo ~src:p ~dst:q;
-                attempts = 0;
-                xmit = 0;
-              }
-            in
-            emit
-              (Msg_send
-                 {
-                   t = now;
-                   msg = id;
-                   src = u;
-                   dst = w;
-                   src_iter = i;
-                   dst_iter = j;
-                   from_pe = p;
-                   to_pe = q;
-                   volume = msg.volume;
-                 });
-            start_hop msg now
-          end
-        end)
-      (Csdfg.succ dfg u);
-    try_start p now
-  in
-
-  let on_hop_done msg now =
-    (match msg.remaining with
-    | prev :: rest ->
-        emit
-          (Msg_hop
-             {
-               t = now;
-               msg = msg.id;
-               link = (prev, List.hd rest);
-               busy = hop_time prev (List.hd rest) msg.volume;
-             });
-        (* free the link we just used and admit the next waiter *)
-        (match rest with
-        | next :: _ ->
-            let l = link prev next in
-            (match Queue.take_opt l.waiting with
-            | Some waiter ->
-                let t = hop_time prev next waiter.volume in
-                l.free_at <- now + t;
-                hop_count := !hop_count + 1;
-                emit
-                  (Stall
-                     {
-                       t = now;
-                       node = node_of waiter.target;
-                       iter = iter_of waiter.target;
-                       pe = Schedule.pe sched (node_of waiter.target);
-                       wait = now - waiter.queued_at;
-                       cause =
-                         Events.Link_busy
-                           { link = (prev, next); msg = waiter.id };
-                     });
-                push (now + t) (Hop_done waiter)
-            | None -> ());
-            msg.remaining <- rest
-        | [] -> assert false)
-    | [] -> assert false);
-    deliver_or_continue msg now
-  in
-
-  (* Kick off. *)
-  for p = 0 to np - 1 do
-    try_start p 0
-  done;
-  let rec drain () =
-    match Digraph.Pqueue.pop !events with
-    | None -> ()
-    | Some ((t, ev), rest) ->
-        events := rest;
-        Obs.Counters.incr c_events;
-        (match ev with
-        | Complete inst -> on_complete inst t
-        | Hop_done msg -> on_hop_done msg t
-        | Deliver msg -> deliver msg t
-        | Hop_attempt _ -> assert false (* fault mode only *));
-        drain ()
-  in
-  drain ();
-
-  if Array.exists (fun c -> c < 0) completion then
-    invalid_arg "Simulator.execute: deadlock (illegal schedule or graph)";
-
-  let iteration_done = Array.make iterations 0 in
-  Array.iteri
-    (fun inst c ->
-      let i = iter_of inst in
-      if c > iteration_done.(i) then iteration_done.(i) <- c)
-    completion;
-  let average_period =
-    if iterations = 1 then float_of_int !makespan
-    else begin
-      let lo = iterations / 2 in
-      if lo = iterations - 1 then
-        float_of_int iteration_done.(iterations - 1) /. float_of_int iterations
-      else
-        float_of_int (iteration_done.(iterations - 1) - iteration_done.(lo))
-        /. float_of_int (iterations - 1 - lo)
-    end
-  in
-  let max_link_backlog =
-    Hashtbl.fold (fun _ l acc -> max acc l.backlog_peak) links 0
-  in
-  Obs.Counters.incr c_messages ~by:!message_count;
-  Obs.Counters.incr c_hops ~by:!hop_count;
-  Obs.Counters.set g_backlog max_link_backlog;
-  let total_busy = Array.fold_left ( + ) 0 busy in
-  {
-    policy;
-    transport;
-    iterations;
-    makespan = !makespan;
-    average_period;
-    messages = !message_count;
-    message_hops = !hop_count;
-    max_link_backlog;
-    busy = Array.copy busy;
-    per_pe_utilization =
-      Array.map
-        (fun b ->
-          if !makespan = 0 then 0.
-          else float_of_int b /. float_of_int !makespan)
-        busy;
-    utilization =
-      (if !makespan = 0 then 0.
-       else float_of_int total_busy /. float_of_int (np * !makespan));
-    faults = None;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Fault-injected execution                                            *)
-(* ------------------------------------------------------------------ *)
-
 (* Links are undirected in fault scenarios. *)
 let canon (a, b) = if a <= b then (a, b) else (b, a)
 
-(* What one phase of a fault run knows about its environment.
-   Processor ids are in the {e phase} numbering (phase 2 runs on the
-   renumbered degraded machine); [f_pe] translates back to the original
-   machine for every emitted event. *)
-type fault_phase = {
+(* What one phase of a run knows about its environment.  A run without
+   faults is a single phase in an [inert] one.  Processor ids are in the
+   {e phase} numbering (phase 2 of a recovery runs on the renumbered
+   degraded machine); [f_pe] translates back to the original machine
+   for every emitted event. *)
+type phase_env = {
   f_seed : int;
   f_max_retries : int;
   f_backoff : int;
@@ -551,9 +92,26 @@ type fault_phase = {
   f_iter0 : int;  (* global iteration of this phase's iteration 0 *)
   f_retries : int ref;
   f_drops : int ref;
-  f_parked : int ref;  (* messages that can never be delivered *)
   f_delivered : int ref;
 }
+
+(* No outage, no loss, nothing dead, no halt, on a machine of [np]
+   processors. *)
+let inert np =
+  {
+    f_seed = 0;
+    f_max_retries = 0;
+    f_backoff = 0;
+    f_dead = Array.make np max_int;
+    f_halt = max_int;
+    f_windows = [];
+    f_loss = (fun _ -> 0.);
+    f_pe = Array.init np Fun.id;
+    f_iter0 = 0;
+    f_retries = ref 0;
+    f_drops = ref 0;
+    f_delivered = ref 0;
+  }
 
 type link_condition = Up | Down_until of int | Down_forever
 
@@ -577,15 +135,16 @@ type phase_result = {
   r_backlog : int;
 }
 
-(* One self-timed phase under a fault environment.  Mirrors the clean
-   event loop, with three differences: the clock starts at [t0] (phase
-   2 resumes where recovery left off), transport is store-and-forward
-   stepped hop by hop even under [Contention_free] (so outage windows
-   and loss draws apply per hop — with no active fault the per-hop
-   times sum to the analytic transit, so timing is unchanged), and
-   nothing deadlocks: an instance whose inputs never arrive is simply
-   never started and reported lost. *)
-let run_phase ~policy ~emit ~fp sched topo ~iterations ~t0 ~msg_base =
+(* One self-timed phase: the simulator's only event loop.  The clock
+   starts at [t0] (phase 2 of a recovery resumes where recovery left
+   off).  Store-and-forward messages are stepped hop by hop under both
+   policies, so outage windows and loss draws apply per link; a wormhole
+   message crosses its whole route in one step.  The loop itself never
+   deadlocks: an instance whose inputs never arrive is simply never
+   started, which the caller reports as lost work or as an illegal
+   schedule. *)
+let run_phase ~policy ~transport ~emit ~fp sched topo ~iterations ~t0
+    ~msg_base =
   let np = Topology.n_processors topo in
   let dfg = Schedule.dfg sched in
   let n = Csdfg.n_nodes dfg in
@@ -645,7 +204,13 @@ let run_phase ~policy ~emit ~fp sched topo ~iterations ~t0 ~msg_base =
   let message_count = ref 0 in
   let hop_count = ref 0 in
   let busy = Array.make np 0 in
+  (* Store-and-forward cost of one hop: link latency times data volume,
+     so weighted topologies are honoured. *)
   let hop_time a b volume = Topology.hops topo a b * volume in
+  let rec route_links = function
+    | a :: (b :: _ as rest) -> (a, b) :: route_links rest
+    | _ -> []
+  in
   let rec try_start p now =
     if head.(p) < Array.length queue.(p) then begin
       let inst = queue.(p).(head.(p)) in
@@ -719,36 +284,102 @@ let run_phase ~policy ~emit ~fp sched topo ~iterations ~t0 ~msg_base =
     incr fp.f_delivered;
     arrive ~src:msg.src_node ~msg:msg.id msg.target now
   in
-  (* Try to put the message's current hop on the wire: park it when an
-     endpoint is dead or the link is cut forever, wait out transient
-     outages, draw for loss (deterministic in (seed, msg, xmit)) with
-     bounded exponential-backoff retries, queue under FIFO contention. *)
-  let attempt_hop msg now =
-    match msg.remaining with
-    | a :: b :: _ ->
-        if fp.f_dead.(a) <= now || fp.f_dead.(b) <= now then
-          incr fp.f_parked
+  (* A stall of [msg] on a link, charged to its consumer instance. *)
+  let msg_stall msg ~t ~wait cause =
+    emit
+      (Events.Stall
+         {
+           t;
+           node = node_of msg.target;
+           iter = g_iter msg.target;
+           pe = o_pe (Schedule.pe sched (node_of msg.target));
+           wait;
+           cause;
+         })
+  in
+  (* Wormhole: the message crosses its whole route in one transfer
+     window.  Under FIFO links that is a conservative circuit
+     reservation: the whole path is held for the window, starting when
+     every link frees. *)
+  let reserve_circuit msg now =
+    let hops = route_links msg.remaining in
+    let final = snd (List.nth hops (List.length hops - 1)) in
+    let window =
+      Topology.hops topo (List.hd msg.remaining) final + msg.volume - 1
+    in
+    let start =
+      match policy with
+      | Contention_free -> now
+      | Fifo_links ->
+          let start =
+            List.fold_left
+              (fun acc (x, y) -> max acc (link x y).free_at)
+              now hops
+          in
+          if start > now then begin
+            Obs.Counters.incr c_stalls;
+            (* blame the link that frees last *)
+            let bx, by, _ =
+              List.fold_left
+                (fun (bx, by, bf) (x, y) ->
+                  let f = (link x y).free_at in
+                  if f > bf then (x, y, f) else (bx, by, bf))
+                (let x0, y0 = List.hd hops in
+                 (x0, y0, (link x0 y0).free_at))
+                (List.tl hops)
+            in
+            msg_stall msg ~t:start ~wait:(start - now)
+              (Events.Link_busy { link = o_link (bx, by); msg = msg.id })
+          end;
+          List.iter
+            (fun (x, y) ->
+              let l = link x y in
+              if start > now then l.backlog_peak <- max l.backlog_peak 1;
+              l.free_at <- start + window)
+            hops;
+          start
+    in
+    hop_count := !hop_count + List.length hops;
+    List.iter
+      (fun lk ->
+        emit
+          (Events.Msg_hop
+             {
+               t = start + window;
+               msg = msg.id;
+               link = o_link lk;
+               busy = window;
+             }))
+      hops;
+    msg.remaining <- [ final ];
+    push (start + window) (Deliver msg)
+  in
+  (* Try to put a store-and-forward message's current hop on the wire:
+     park it when an endpoint is dead or the link is cut forever, wait
+     out transient outages, draw for loss (deterministic in (seed, msg,
+     xmit)) with bounded exponential-backoff retries.  Under FIFO links
+     a fresh arrival queues while the link is busy or has waiters, so
+     each link serves in arrival order; [admitted] marks the waiter the
+     link just popped, which takes the link directly. *)
+  let attempt_hop ?(admitted = false) msg now =
+    match (transport, msg.remaining) with
+    | Wormhole, _ -> reserve_circuit msg now
+    | Store_and_forward, a :: b :: _ ->
+        (* a parked message is never delivered: the report counts it
+           as undelivered *)
+        if fp.f_dead.(a) <= now || fp.f_dead.(b) <= now then ()
         else begin
           let lk = canon (a, b) in
           match link_state_at fp lk now with
-          | Down_forever -> incr fp.f_parked
+          | Down_forever -> ()
           | Down_until u ->
               Obs.Counters.incr c_stalls;
-              emit
-                (Events.Stall
-                   {
-                     t = u;
-                     node = node_of msg.target;
-                     iter = g_iter msg.target;
-                     pe = o_pe (Schedule.pe sched (node_of msg.target));
-                     wait = u - now;
-                     cause =
-                       Events.Link_down { link = o_link (a, b); msg = msg.id };
-                   });
+              msg_stall msg ~t:u ~wait:(u - now)
+                (Events.Link_down { link = o_link (a, b); msg = msg.id });
               push u (Hop_attempt msg)
           | Up -> (
               match policy with
-              | Fifo_links when (link a b).free_at > now ->
+              | Fifo_links when (not admitted) && must_wait (link a b) now ->
                   let l = link a b in
                   msg.queued_at <- now;
                   Obs.Counters.incr c_stalls;
@@ -801,7 +432,7 @@ let run_phase ~policy ~emit ~fp sched topo ~iterations ~t0 ~msg_base =
                     push (now + dt) (Hop_done msg)
                   end)
         end
-    | _ -> assert false
+    | Store_and_forward, _ -> assert false
   in
   (* Admit queued waiters while the link stays free: a waiter that
      loses its draw (or hits an outage) leaves the link idle, so keep
@@ -810,17 +441,9 @@ let run_phase ~policy ~emit ~fp sched topo ~iterations ~t0 ~msg_base =
     if l.free_at <= now then
       match Queue.take_opt l.waiting with
       | Some w ->
-          emit
-            (Events.Stall
-               {
-                 t = now;
-                 node = node_of w.target;
-                 iter = g_iter w.target;
-                 pe = o_pe (Schedule.pe sched (node_of w.target));
-                 wait = now - w.queued_at;
-                 cause = Events.Link_busy { link = o_link lk; msg = w.id };
-               });
-          attempt_hop w now;
+          msg_stall w ~t:now ~wait:(now - w.queued_at)
+            (Events.Link_busy { link = o_link lk; msg = w.id });
+          attempt_hop ~admitted:true w now;
           admit l lk now
       | None -> ()
   in
@@ -944,22 +567,10 @@ let completed_prefix completion ~n ~iterations =
    with Exit -> ());
   !k
 
-(* The clean simulator's asymptotic period: measured over the second
-   half of the run to skip pipeline fill. *)
-let steady_period done_arr ~iterations ~makespan =
-  if iterations = 1 then float_of_int makespan
-  else begin
-    let lo = iterations / 2 in
-    if lo = iterations - 1 then
-      float_of_int done_arr.(iterations - 1) /. float_of_int iterations
-    else
-      float_of_int (done_arr.(iterations - 1) - done_arr.(lo))
-      /. float_of_int (iterations - 1 - lo)
-  end
-
 (* Period over the first [count] entries of [done_arr], a run that
-   began at [t_start] — used for the pre- and post-fault phases, which
-   rarely span the whole horizon. *)
+   began at [t_start]: the slope over the second half, to skip pipeline
+   fill.  Used for whole runs and for the pre- and post-fault phases,
+   which rarely span the whole horizon. *)
 let measured_period done_arr ~count ~t_start =
   if count <= 0 then 0.
   else if count = 1 then float_of_int (done_arr.(0) - t_start)
@@ -972,39 +583,51 @@ let measured_period done_arr ~count ~t_start =
       /. float_of_int (count - 1 - lo)
   end
 
-let execute_faulty ~policy ~transport ~recorder ~(armed : Faults.armed) sched
-    topo ~iterations =
-  if iterations < 1 then invalid_arg "Simulator.execute: iterations < 1";
-  if transport = Wormhole then
-    invalid_arg "Simulator.execute: faults require store-and-forward transport";
-  if not (Schedule.assigned_all sched) then
-    invalid_arg "Simulator.execute: schedule has unassigned nodes";
-  let np = Topology.n_processors topo in
-  if np <> Schedule.n_processors sched then
-    invalid_arg "Simulator.execute: topology size mismatch";
+let policy_name = function
+  | Contention_free -> "contention-free"
+  | Fifo_links -> "fifo-links"
+
+let transport_name = function
+  | Store_and_forward -> "store-and-forward"
+  | Wormhole -> "wormhole"
+
+let lost_in completion =
+  Array.fold_left (fun acc c -> if c < 0 then acc + 1 else acc) 0 completion
+
+(* Stats of a run from its (possibly merged) phase result, [r_busy] in
+   the original machine's numbering. *)
+let finish ~policy ~transport ~iterations ~faults ~average_period r =
+  Obs.Counters.incr c_messages ~by:r.r_messages;
+  Obs.Counters.incr c_hops ~by:r.r_hops;
+  Obs.Counters.set g_backlog r.r_backlog;
+  let makespan = r.r_makespan in
+  let share b ~of_ =
+    if makespan = 0 then 0. else float_of_int b /. float_of_int (of_ * makespan)
+  in
+  {
+    policy;
+    transport;
+    iterations;
+    makespan;
+    average_period;
+    messages = r.r_messages;
+    message_hops = r.r_hops;
+    max_link_backlog = r.r_backlog;
+    busy = Array.copy r.r_busy;
+    per_pe_utilization = Array.map (share ~of_:1) r.r_busy;
+    utilization =
+      share (Array.fold_left ( + ) 0 r.r_busy) ~of_:(Array.length r.r_busy);
+    faults;
+  }
+
+(* A run under an armed scenario: one phase on the whole machine, then,
+   after a permanent fault, degraded-mode recovery on the survivors. *)
+let execute_faulty ~policy ~emit ~finish ~(armed : Faults.armed) sched topo
+    ~iterations =
   let scen = armed.Faults.scenario in
   let seed = armed.Faults.seed in
-  (match Faults.validate scen topo with
-  | Ok () -> ()
-  | Error m -> invalid_arg ("Simulator.execute: " ^ m));
-  Obs.Trace.with_span "simulator.execute"
-    ~args:
-      [
-        ("iterations", string_of_int iterations);
-        ( "policy",
-          match policy with
-          | Contention_free -> "contention-free"
-          | Fifo_links -> "fifo-links" );
-        ("transport", "store-and-forward");
-        ("faults", scen.Faults.name);
-        ("seed", string_of_int seed);
-      ]
-  @@ fun () ->
-  let emit ev =
-    match recorder with None -> () | Some r -> Events.record r ev
-  in
-  let dfg = Schedule.dfg sched in
-  let n = Csdfg.n_nodes dfg in
+  let np = Topology.n_processors topo in
+  let n = Csdfg.n_nodes (Schedule.dfg sched) in
   (* Decompose the scenario. *)
   let fail_stops =
     List.filter_map
@@ -1058,144 +681,87 @@ let execute_faulty ~policy ~transport ~recorder ~(armed : Faults.armed) sched
     scen.Faults.faults;
   let dead = Array.make np max_int in
   List.iter (fun (pe, at) -> if at < dead.(pe) then dead.(pe) <- at) fail_stops;
-  let fp1 =
+  let armed_phase np =
     {
+      (inert np) with
       f_seed = seed;
       f_max_retries = scen.Faults.max_retries;
       f_backoff = scen.Faults.backoff_base;
+    }
+  in
+  let fp1 =
+    {
+      (armed_phase np) with
       f_dead = dead;
       f_halt = halt;
       f_windows = windows;
       f_loss = loss_over lossy;
-      f_pe = Array.init np (fun p -> p);
-      f_iter0 = 0;
-      f_retries = ref 0;
-      f_drops = ref 0;
-      f_parked = ref 0;
-      f_delivered = ref 0;
     }
   in
-  let r1 = run_phase ~policy ~emit ~fp:fp1 sched topo ~iterations ~t0:0 ~msg_base:0 in
+  let r1 =
+    run_phase ~policy ~transport:Store_and_forward ~emit ~fp:fp1 sched topo
+      ~iterations ~t0:0 ~msg_base:0
+  in
   let k0 = completed_prefix r1.r_completion ~n ~iterations in
   let done1 = iteration_done_of r1.r_completion ~n ~iterations in
   let pre_fault_period =
     if k0 = 0 then float_of_int (Schedule.length sched)
     else measured_period done1 ~count:k0 ~t_start:0
   in
-  let finish ~report ~makespan ~average_period ~messages ~hops ~backlog busy =
-    Obs.Counters.incr c_messages ~by:messages;
-    Obs.Counters.incr c_hops ~by:hops;
-    Obs.Counters.set g_backlog backlog;
-    let total_busy = Array.fold_left ( + ) 0 busy in
+  let report =
     {
-      policy;
-      transport;
-      iterations;
-      makespan;
-      average_period;
-      messages;
-      message_hops = hops;
-      max_link_backlog = backlog;
-      busy = Array.copy busy;
-      per_pe_utilization =
-        Array.map
-          (fun b ->
-            if makespan = 0 then 0.
-            else float_of_int b /. float_of_int makespan)
-          busy;
-      utilization =
-        (if makespan = 0 then 0.
-         else float_of_int total_busy /. float_of_int (np * makespan));
-      faults = Some report;
+      Faults.scenario_name = scen.Faults.name;
+      seed;
+      failed_pes;
+      failed_links;
+      fault_time = t_fault;
+      surviving_pes = np - List.length failed_pes;
+      retries = !(fp1.f_retries);
+      drops = !(fp1.f_drops);
+      undelivered = r1.r_messages - !(fp1.f_delivered);
+      lost_instances = lost_in r1.r_completion;
+      completed_iterations = k0;
+      replayed_iterations = 0;
+      pre_fault_period;
+      post_fault_period = 0.;
+      migration_cost = 0;
+      moved_nodes = 0;
+      recovery_latency = 0;
+      degraded_length = None;
+      replan_error = None;
     }
   in
-  let lost_in completion =
-    Array.fold_left (fun acc c -> if c < 0 then acc + 1 else acc) 0 completion
-  in
-  let single_phase ~failed_pes ~failed_links ~fault_time ~replan_error =
-    let report =
-      {
-        Faults.scenario_name = scen.Faults.name;
-        seed;
-        failed_pes;
-        failed_links;
-        fault_time;
-        surviving_pes = np - List.length failed_pes;
-        retries = !(fp1.f_retries);
-        drops = !(fp1.f_drops);
-        undelivered = r1.r_messages - !(fp1.f_delivered);
-        lost_instances = lost_in r1.r_completion;
-        completed_iterations = k0;
-        replayed_iterations = 0;
-        pre_fault_period;
-        post_fault_period = 0.;
-        migration_cost = 0;
-        moved_nodes = 0;
-        recovery_latency = 0;
-        degraded_length = None;
-        replan_error;
-      }
-    in
+  (* Nothing replayed: the run is phase 1 alone. *)
+  let single_phase report =
     let average_period =
-      if k0 = iterations then
-        steady_period done1 ~iterations ~makespan:r1.r_makespan
+      if k0 = iterations then measured_period done1 ~count:iterations ~t_start:0
       else pre_fault_period
     in
-    finish ~report ~makespan:r1.r_makespan ~average_period
-      ~messages:r1.r_messages ~hops:r1.r_hops ~backlog:r1.r_backlog r1.r_busy
+    finish ~faults:(Some report) ~average_period r1
   in
   match t_fault with
   | None ->
       (* transient/lossy only: one phase, nothing to replan *)
-      single_phase ~failed_pes:[] ~failed_links:[] ~fault_time:None
-        ~replan_error:None
+      single_phase report
   | Some t0_fault -> (
       match Cyclo.Degrade.replan sched topo ~failed_pes ~failed_links with
-      | Error e ->
-          single_phase ~failed_pes ~failed_links ~fault_time:(Some t0_fault)
-            ~replan_error:(Some e)
+      | Error e -> single_phase { report with replan_error = Some e }
       | Ok plan ->
           let len2 = Schedule.length plan.Cyclo.Degrade.schedule in
           let np2 = Array.length plan.Cyclo.Degrade.surviving in
-          if k0 >= iterations then begin
+          let report =
+            { report with surviving_pes = np2; degraded_length = Some len2 }
+          in
+          if k0 >= iterations then
             (* the fault landed after the workload was done: the machine
                degrades, but nothing needed replaying *)
-            let report =
-              {
-                Faults.scenario_name = scen.Faults.name;
-                seed;
-                failed_pes;
-                failed_links;
-                fault_time = Some t0_fault;
-                surviving_pes = np2;
-                retries = !(fp1.f_retries);
-                drops = !(fp1.f_drops);
-                undelivered = r1.r_messages - !(fp1.f_delivered);
-                lost_instances = lost_in r1.r_completion;
-                completed_iterations = k0;
-                replayed_iterations = 0;
-                pre_fault_period;
-                post_fault_period = 0.;
-                migration_cost = 0;
-                moved_nodes = 0;
-                recovery_latency = 0;
-                degraded_length = Some len2;
-                replan_error = None;
-              }
-            in
-            finish ~report ~makespan:r1.r_makespan
-              ~average_period:
-                (steady_period done1 ~iterations ~makespan:r1.r_makespan)
-              ~messages:r1.r_messages ~hops:r1.r_hops ~backlog:r1.r_backlog
-              r1.r_busy
-          end
+            single_phase report
           else begin
             (* two-phase recovery: drain, detect, migrate state, resume
                the degraded schedule at the checkpointed iteration *)
             let resume =
               max halt r1.r_makespan + plan.Cyclo.Degrade.migration_cost
             in
-            let recovery_latency = resume - t0_fault in
             emit
               (Events.Degraded
                  {
@@ -1231,26 +797,18 @@ let execute_faulty ~policy ~transport ~recorder ~(armed : Faults.armed) sched
             in
             let fp2 =
               {
-                f_seed = seed;
-                f_max_retries = scen.Faults.max_retries;
-                f_backoff = scen.Faults.backoff_base;
-                f_dead = Array.make np2 max_int;
-                f_halt = max_int;
+                (armed_phase np2) with
                 f_windows = windows2;
                 f_loss = loss_over lossy2;
                 f_pe = plan.Cyclo.Degrade.surviving;
                 f_iter0 = k0;
-                f_retries = ref 0;
-                f_drops = ref 0;
-                f_parked = ref 0;
-                f_delivered = ref 0;
               }
             in
             let iters2 = iterations - k0 in
             let r2 =
-              run_phase ~policy ~emit ~fp:fp2 plan.Cyclo.Degrade.schedule
-                plan.Cyclo.Degrade.topology ~iterations:iters2 ~t0:resume
-                ~msg_base:r1.r_messages
+              run_phase ~policy ~transport:Store_and_forward ~emit ~fp:fp2
+                plan.Cyclo.Degrade.schedule plan.Cyclo.Degrade.topology
+                ~iterations:iters2 ~t0:resume ~msg_base:r1.r_messages
             in
             let done2 = iteration_done_of r2.r_completion ~n ~iterations:iters2 in
             let k2 = completed_prefix r2.r_completion ~n ~iterations:iters2 in
@@ -1258,7 +816,6 @@ let execute_faulty ~policy ~transport ~recorder ~(armed : Faults.armed) sched
               if k2 = 0 then float_of_int len2
               else measured_period done2 ~count:k2 ~t_start:resume
             in
-            let makespan = max r1.r_makespan r2.r_makespan in
             let busy = Array.copy r1.r_busy in
             Array.iteri
               (fun p2 b ->
@@ -1269,48 +826,89 @@ let execute_faulty ~policy ~transport ~recorder ~(armed : Faults.armed) sched
             Array.blit done1 0 done_all 0 k0;
             Array.blit done2 0 done_all k0 iters2;
             let average_period =
-              if k2 = iters2 then steady_period done_all ~iterations ~makespan
+              if k2 = iters2 then
+                measured_period done_all ~count:iterations ~t_start:0
               else if post_fault_period > 0. then post_fault_period
               else pre_fault_period
             in
             let report =
               {
-                Faults.scenario_name = scen.Faults.name;
-                seed;
-                failed_pes;
-                failed_links;
-                fault_time = Some t0_fault;
-                surviving_pes = np2;
+                report with
                 retries = !(fp1.f_retries) + !(fp2.f_retries);
                 drops = !(fp1.f_drops) + !(fp2.f_drops);
                 undelivered =
                   r1.r_messages + r2.r_messages
                   - (!(fp1.f_delivered) + !(fp2.f_delivered));
                 lost_instances = lost_in r2.r_completion;
-                completed_iterations = k0;
                 replayed_iterations = iters2;
-                pre_fault_period;
                 post_fault_period;
                 migration_cost = plan.Cyclo.Degrade.migration_cost;
                 moved_nodes = List.length plan.Cyclo.Degrade.moved;
-                recovery_latency;
-                degraded_length = Some len2;
-                replan_error = None;
+                recovery_latency = resume - t0_fault;
               }
             in
-            finish ~report ~makespan ~average_period
-              ~messages:(r1.r_messages + r2.r_messages)
-              ~hops:(r1.r_hops + r2.r_hops)
-              ~backlog:(max r1.r_backlog r2.r_backlog)
-              busy
+            finish ~faults:(Some report) ~average_period
+              {
+                r_completion = [||];
+                r_makespan = max r1.r_makespan r2.r_makespan;
+                r_busy = busy;
+                r_messages = r1.r_messages + r2.r_messages;
+                r_hops = r1.r_hops + r2.r_hops;
+                r_backlog = max r1.r_backlog r2.r_backlog;
+              }
           end)
 
 let execute ?(policy = Contention_free) ?(transport = Store_and_forward)
     ?recorder ?faults sched topo ~iterations =
+  if iterations < 1 then invalid_arg "Simulator.execute: iterations < 1";
+  if Option.is_some faults && transport = Wormhole then
+    invalid_arg "Simulator.execute: faults require store-and-forward transport";
+  if not (Schedule.assigned_all sched) then
+    invalid_arg "Simulator.execute: schedule has unassigned nodes";
+  let np = Topology.n_processors topo in
+  if np <> Schedule.n_processors sched then
+    invalid_arg "Simulator.execute: topology size mismatch";
+  Option.iter
+    (fun (armed : Faults.armed) ->
+      match Faults.validate armed.Faults.scenario topo with
+      | Ok () -> ()
+      | Error m -> invalid_arg ("Simulator.execute: " ^ m))
+    faults;
+  Obs.Trace.with_span "simulator.execute"
+    ~args:
+      ([
+         ("iterations", string_of_int iterations);
+         ("policy", policy_name policy);
+         ("transport", transport_name transport);
+       ]
+      @
+      match faults with
+      | None -> []
+      | Some armed ->
+          [
+            ("faults", armed.Faults.scenario.Faults.name);
+            ("seed", string_of_int armed.Faults.seed);
+          ])
+  @@ fun () ->
+  let emit ev =
+    match recorder with None -> () | Some r -> Events.record r ev
+  in
+  let finish = finish ~policy ~transport ~iterations in
   match faults with
-  | None -> execute_clean ~policy ~transport ~recorder sched topo ~iterations
   | Some armed ->
-      execute_faulty ~policy ~transport ~recorder ~armed sched topo ~iterations
+      execute_faulty ~policy ~emit ~finish ~armed sched topo ~iterations
+  | None ->
+      let r =
+        run_phase ~policy ~transport ~emit ~fp:(inert np) sched topo
+          ~iterations ~t0:0 ~msg_base:0
+      in
+      if Array.exists (fun c -> c < 0) r.r_completion then
+        invalid_arg "Simulator.execute: deadlock (illegal schedule or graph)";
+      let n = Csdfg.n_nodes (Schedule.dfg sched) in
+      let done_at = iteration_done_of r.r_completion ~n ~iterations in
+      finish ~faults:None
+        ~average_period:(measured_period done_at ~count:iterations ~t_start:0)
+        r
 
 let slowdown stats sched =
   let len = Schedule.length sched in
@@ -1320,11 +918,6 @@ let pp_stats ppf s =
   Fmt.pf ppf
     "policy=%s transport=%s iters=%d makespan=%d period=%.2f msgs=%d \
      hops=%d backlog=%d util=%.2f"
-    (match s.policy with
-    | Contention_free -> "contention-free"
-    | Fifo_links -> "fifo-links")
-    (match s.transport with
-    | Store_and_forward -> "store-and-forward"
-    | Wormhole -> "wormhole")
+    (policy_name s.policy) (transport_name s.transport)
     s.iterations s.makespan s.average_period s.messages s.message_hops
     s.max_link_backlog s.utilization

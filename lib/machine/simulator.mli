@@ -17,7 +17,9 @@
 
 type policy =
   | Contention_free  (** infinite channels per link (the paper's model) *)
-  | Fifo_links  (** each directed link carries one message at a time *)
+  | Fifo_links
+      (** each directed link carries one message at a time and serves
+          the messages that reach it in arrival order *)
 
 (** How a message crosses the network. *)
 type transport =
@@ -67,6 +69,14 @@ val execute :
     schedules built against {!Cyclo.Comm.wormhole} costs for the
     slowdown-1 guarantee to apply.
 
+    One engine runs every combination.  A store-and-forward message is
+    stepped hop by hop under both policies; a wormhole message crosses
+    its whole route in one step.  Under {!Fifo_links} a message that
+    reaches a link while the link is busy, or while earlier messages
+    wait for it, joins the back of the link's queue; when the link
+    frees, the head of the queue takes it.  A run without [faults] is a
+    run in an inert environment: nothing fails, nothing is lost.
+
     [recorder], when given, receives the full typed event stream of the
     run (see {!Events}): instance starts/finishes, message sends, link
     hops, deliveries, and stalls attributed to their proximate cause.
@@ -84,10 +94,10 @@ val execute :
     the static promise [CB + k*L], 0 when on time).
 
     [faults], when given, injects an armed fault scenario (see
-    {!Faults}) into the run.  Transport is stepped hop by hop so outage
-    windows and loss draws apply per link; with no active fault the
-    per-hop times sum to the analytic transit, so timing is unchanged.
-    Lost transmissions retry with bounded exponential backoff
+    {!Faults}) into the run.  Outage windows and loss draws apply per
+    hop; an empty scenario gives the same stats and events as no
+    scenario (pinned by test), plus the [stats.faults] report.  Lost
+    transmissions retry with bounded exponential backoff
     ([simulator.msg_retries] / [simulator.msg_drops] counters and the
     [simulator.retry_backoff] histogram; {!Events.Msg_retry} and
     {!Events.Msg_dropped} in the stream).  A permanent fault (fail-stop
