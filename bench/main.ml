@@ -942,7 +942,9 @@ let timing () =
                   (Cyclo.Comm.of_topology mesh))));
       Test.make ~name:"autotune-fig7-mesh"
         (Staged.stage (fun () ->
-             ignore (Cyclo.Autotune.run_on ~parallel:false fig7 m24)));
+             ignore
+               (Cyclo.Portfolio.run_on ~k:4 ~prune:false ~polish:true
+                  ~domains:1 fig7 m24)));
       Test.make ~name:"a14-partition-3apps"
         (Staged.stage (fun () ->
              ignore

@@ -236,6 +236,25 @@ let show_cmd =
   Cmd.v (Cmd.info "show" ~doc:"Inspect a workload: legality, bounds, stats.")
     Term.(const run $ graph_arg $ slowdown_arg)
 
+(* Every emitted schedule is re-checked; an illegal one is a scheduler
+   bug, reported with exit 1. *)
+let exit_if_illegal s =
+  match Cyclo.Validator.check s with
+  | Ok () -> ()
+  | Error problems ->
+      Fmt.epr "INTERNAL ERROR: emitted an illegal schedule:@.%a@."
+        (Fmt.list (Cyclo.Validator.pp_violation s))
+        problems;
+      exit 1
+
+let print_portfolio ~table g topo t =
+  let best = Cyclo.Portfolio.best t in
+  Fmt.pr "workload %s on %s@." (Dataflow.Csdfg.name g) (Topology.name topo);
+  Fmt.pr "%a@." Cyclo.Portfolio.pp t;
+  Fmt.pr "metrics: %a@." Cyclo.Metrics.pp_summary best;
+  if table then Fmt.pr "@.best schedule:@.%a@." Cyclo.Schedule.pp best;
+  exit_if_illegal best
+
 let schedule_cmd =
   let startup_only_flag =
     Arg.(value & flag
@@ -258,32 +277,14 @@ let schedule_cmd =
       Fmt.pr "start-up length: %d@." (Cyclo.Schedule.length startup);
       Fmt.pr "metrics: %a@." Cyclo.Metrics.pp_summary startup;
       if table then Fmt.pr "@.start-up schedule:@.%a@." Cyclo.Schedule.pp startup;
-      match Cyclo.Validator.check startup with
-      | Ok () -> ()
-      | Error problems ->
-          Fmt.epr "INTERNAL ERROR: emitted an illegal schedule:@.%a@."
-            (Fmt.list (Cyclo.Validator.pp_violation startup))
-            problems;
-          exit 1
+      exit_if_illegal startup
     end
     else
     match portfolio with
     | Some k ->
         if k < 1 then die 3 "--portfolio needs K >= 1";
-        let t = Cyclo.Portfolio.run_on ~k ?domains ?speeds ?passes g topo in
-        let best = Cyclo.Portfolio.best t in
-        Fmt.pr "workload %s on %s@." (Dataflow.Csdfg.name g)
-          (Topology.name topo);
-        Fmt.pr "%a@." Cyclo.Portfolio.pp t;
-        Fmt.pr "metrics: %a@." Cyclo.Metrics.pp_summary best;
-        if table then Fmt.pr "@.best schedule:@.%a@." Cyclo.Schedule.pp best;
-        (match Cyclo.Validator.check best with
-        | Ok () -> ()
-        | Error problems ->
-            Fmt.epr "INTERNAL ERROR: emitted an illegal schedule:@.%a@."
-              (Fmt.list (Cyclo.Validator.pp_violation best))
-              problems;
-            exit 1)
+        print_portfolio ~table g topo
+          (Cyclo.Portfolio.run_on ~k ?domains ?speeds ?passes g topo)
     | None ->
     let r = Cyclo.Compaction.run_on ~mode ?speeds ?passes g topo in
     let startup = r.Cyclo.Compaction.startup and best = r.Cyclo.Compaction.best in
@@ -305,13 +306,7 @@ let schedule_cmd =
       Fmt.pr "@.start-up schedule:@.%a@." Cyclo.Schedule.pp startup;
       Fmt.pr "@.best schedule:@.%a@." Cyclo.Schedule.pp best
     end;
-    match Cyclo.Validator.check best with
-    | Ok () -> ()
-    | Error problems ->
-        Fmt.epr "INTERNAL ERROR: emitted an illegal schedule:@.%a@."
-          (Fmt.list (Cyclo.Validator.pp_violation best))
-          problems;
-        exit 1
+    exit_if_illegal best
   in
   Cmd.v
     (Cmd.info "schedule"
@@ -713,16 +708,15 @@ let autotune_cmd =
     let topo = or_die (parse_arch arch) in
     let speeds = or_die (parse_speeds topo speeds) in
     with_observability ~profile ~metrics @@ fun () ->
-    let t = Cyclo.Autotune.run_on ?passes ?speeds ?time_budget g topo in
-    Fmt.pr "%a@." Cyclo.Autotune.pp t;
-    Fmt.pr "@.best schedule:@.%a@." Cyclo.Schedule.pp t.Cyclo.Autotune.best;
-    Fmt.pr "metrics: %a@." Cyclo.Metrics.pp_summary t.Cyclo.Autotune.best
+    print_portfolio ~table:true g topo
+      (Cyclo.Portfolio.run_on ~k:4 ~prune:false ~polish:true ?passes ?speeds
+         ?time_budget g topo)
   in
   Cmd.v
     (Cmd.info "autotune"
-       ~doc:"Run the whole scheduler portfolio (both modes, both scorings, \
-             plus local-search polish) in parallel and keep the shortest \
-             schedule.")
+       ~doc:"The portfolio preset $(b,--portfolio 4) without pruning: both \
+             modes crossed with both scorings, each run to its end and \
+             polished by local search; keeps the shortest schedule.")
     Term.(const run $ graph_arg $ arch_arg $ passes_arg $ slowdown_arg
           $ speeds_arg $ time_budget_arg $ profile_arg $ metrics_flag)
 

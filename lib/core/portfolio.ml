@@ -69,8 +69,9 @@ type live = {
 let run ?(k = default_k) ?domains ?(round_passes = default_round_passes)
     ?(patience_lead = default_patience_lead)
     ?(patience_lose = default_patience_lose)
-    ?(shadow_patience = default_shadow_patience) ?(prune = true) ?passes
-    ?time_budget ?speeds ?(validate = false) dfg comm =
+    ?(shadow_patience = default_shadow_patience) ?(prune = true)
+    ?(polish = false) ?passes ?time_budget ?speeds ?(validate = false) dfg comm
+    =
   if k < 1 then invalid_arg "Portfolio.run: k must be >= 1";
   if round_passes < 1 then
     invalid_arg "Portfolio.run: round_passes must be >= 1";
@@ -239,20 +240,28 @@ let run ?(k = default_k) ?domains ?(round_passes = default_round_passes)
     end
   in
   loop ();
+  let results = List.map (fun m -> Compaction.stepper_result m.st) members in
+  let results =
+    if polish && not (Atomic.get timed_out) then
+      Parutil.Parallel.map ~domains
+        (fun r -> { r with Compaction.best = Refine.polish r })
+        results
+    else results
+  in
   let finished =
-    List.map
-      (fun m ->
+    List.map2
+      (fun m result ->
         let member =
           {
             search = m.s;
-            result = Compaction.stepper_result m.st;
+            result;
             passes = Compaction.passes_run m.st;
             pruned = m.stopped;
           }
         in
-        let best = member.result.Compaction.best in
+        let best = result.Compaction.best in
         ((Schedule.length best, Schedule.signature best, m.s.index), member))
-      members
+      members results
   in
   let ranked =
     List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) finished)
@@ -272,9 +281,11 @@ let run ?(k = default_k) ?domains ?(round_passes = default_round_passes)
       }
 
 let run_on ?k ?domains ?round_passes ?patience_lead ?patience_lose
-    ?shadow_patience ?prune ?passes ?time_budget ?speeds ?validate dfg topo =
+    ?shadow_patience ?prune ?polish ?passes ?time_budget ?speeds ?validate dfg
+    topo =
   run ?k ?domains ?round_passes ?patience_lead ?patience_lose ?shadow_patience
-    ?prune ?passes ?time_budget ?speeds ?validate dfg (Comm.of_topology topo)
+    ?prune ?polish ?passes ?time_budget ?speeds ?validate dfg
+    (Comm.of_topology topo)
 
 let best t = t.winner.result.Compaction.best
 
@@ -296,5 +307,7 @@ let pp ppf t =
         m.passes
         (if m.pruned then " (pruned)" else ""))
     t.members;
+  if t.timed_out then
+    Fmt.pf ppf "  (time budget exhausted: best-so-far of every search)@,";
   Fmt.pf ppf "  %d searches over %d domains, %d rounds@,@]" t.k t.domains
     t.rounds

@@ -53,7 +53,9 @@ type search = {
 
 type member = {
   search : search;
-  result : Compaction.result;  (** best-so-far when the search retired *)
+  result : Compaction.result;
+      (** best-so-far when the search retired; with [~polish:true] its
+          [best] is the {!Refine.polish}ed schedule *)
   passes : int;  (** passes actually executed *)
   pruned : bool;
       (** retired by the portfolio (shared bound or target ladder), not
@@ -87,6 +89,7 @@ val run :
   ?patience_lose:int ->
   ?shadow_patience:int ->
   ?prune:bool ->
+  ?polish:bool ->
   ?passes:int ->
   ?time_budget:float ->
   ?speeds:int array ->
@@ -101,13 +104,21 @@ val run :
     with [~domains:1] is the sequential baseline the bench suite
     compares against — same searches, same result rule, every search
     driven to its natural end.  The start-up schedule is computed once
-    and shared.  [time_budget] (seconds of wall clock) retires every
-    search at its next pass boundary once exceeded — the only knob
-    whose effect depends on timing rather than the trajectory, so a run
-    that actually times out ([timed_out = true]) forgoes the
-    byte-identical-winner determinism guarantee in exchange for bounded
-    latency.  [validate] (default [false]) re-checks every
-    intermediate schedule; the winner is always validated.
+    and shared.  [polish] (default [false]) replaces each member's best
+    with {!Refine.polish} of its result before ranking, over the same
+    domains; it is skipped when the run timed out.  [time_budget]
+    (seconds of wall clock) retires every search at its next pass
+    boundary once exceeded — the only knob whose effect depends on
+    timing rather than the trajectory, so a run that actually times out
+    ([timed_out = true]) forgoes the byte-identical-winner determinism
+    guarantee in exchange for bounded latency.  [validate] (default
+    [false]) re-checks every intermediate schedule; the winner is
+    always validated.
+
+    {b The autotune preset.}  [~k:4 ~prune:false ~polish:true] runs the
+    four (mode, scoring) pairs in [Forward] order each to its end
+    (stopping at ladder rung 0 cannot change a best), polishes them and
+    ranks the polished bests by (length, signature, index).
     @raise Invalid_argument if [k < 1], [round_passes < 1], or the
     CSDFG is illegal. *)
 
@@ -119,6 +130,7 @@ val run_on :
   ?patience_lose:int ->
   ?shadow_patience:int ->
   ?prune:bool ->
+  ?polish:bool ->
   ?passes:int ->
   ?time_budget:float ->
   ?speeds:int array ->

@@ -279,6 +279,7 @@ let expired = function
   | Some ns -> Obs.Trace.now_ns () >= ns
 
 let resolve t ~graph ~arch (knobs : P.knobs) =
+  Obs.Trace.with_span "service.resolve" @@ fun () ->
   let ( let* ) = Result.bind in
   let* g =
     match graph with
@@ -588,93 +589,49 @@ let replan_entry t ~deadline_ns ~session ~fail_pes ~fail_links =
 (* Dispatch                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* [precomputed] carries batch-parallel compute results keyed by cache
-   key; each is consumed (committed + counted as the miss) by the first
-   request that needs it, so later identical requests in the same batch
-   hit the cache exactly as they would sequentially.
+(* [spans] opts into the "trace":true span breakdown: each stage is
+   timed onto the ref, newest first.  With [spans = None] no clock is
+   read for a stage, so untraced requests pay nothing. *)
+let tick spans name f =
+  match spans with
+  | None -> f ()
+  | Some r ->
+      let t0 = Obs.Trace.now_ns () in
+      let x = f () in
+      r := (name, Obs.Trace.now_ns () - t0) :: !r;
+      x
 
-   [spans] opts into the "trace":true span breakdown: each major stage
-   is timed and pushed onto the ref (reverse order; handle_line_with
-   reverses and appends the export span).  With [spans = None] no clock
-   is read here, so untraced requests pay nothing. *)
-let handle_with ?precomputed ?spans t ~id request =
-  t.requests <- t.requests + 1;
-  Obs.Counters.incr c_requests;
-  let tick name f =
-    match spans with
-    | None -> f ()
-    | Some r ->
-        let t0 = Obs.Trace.now_ns () in
-        let x = f () in
-        r := (name, Obs.Trace.now_ns () - t0) :: !r;
-        x
-  in
-  match request with
-  | P.Stats -> P.Stats_reply { id; stats = stats t }
-  | P.Metrics ->
-      P.Metrics_reply
-        { id; body = tick "render" (fun () -> Obs.Exposition.render ()) }
-  | P.Health -> P.Health_reply { id; health = health t }
-  | P.Shutdown -> P.Shutdown_ack { id }
-  | P.Schedule { graph; arch; knobs } -> (
-      match tick "resolve" (fun () -> resolve t ~graph ~arch knobs) with
-      | Error e -> P.Error_reply { id = Some id; err = e }
-      | Ok prep -> (
-          match
-            tick "cache_lookup" (fun () -> Lru.find t.cache prep.key)
-          with
-          | Some entry ->
-              record_hit t;
-              scheduled_reply ~id ~key:prep.key ~cached:true entry
-          | None -> (
-              let computed =
-                match
-                  Option.bind precomputed (fun tbl ->
-                      let r = Hashtbl.find_opt tbl prep.key in
-                      Hashtbl.remove tbl prep.key;
-                      r)
-                with
-                | Some r -> r
-                | None -> tick "compaction" (fun () -> compute prep)
-              in
-              record_miss t;
-              match computed with
-              | Ok entry ->
-                  commit t prep.key entry;
-                  scheduled_reply ~id ~key:prep.key ~cached:false entry
-              | Error e -> P.Error_reply { id = Some id; err = e })))
-  | P.Replan { session; fail_pes; fail_links; deadline_ms } -> (
-      let key = Cachekey.replan_digest ~parent:session ~failed_pes:fail_pes
-          ~failed_links:fail_links
+(* Timed where it runs, on a batch worker's domain for parallel misses,
+   so a traced miss reports its real compaction time. *)
+let timed_compute prep =
+  let t0 = Obs.Trace.now_ns () in
+  let r = compute prep in
+  (r, Obs.Trace.now_ns () - t0)
+
+(* [computed] holds the batch's parallel results by cache key; the first
+   request that needs one consumes it (commit + miss), so later identical
+   requests hit exactly as they would sequentially.  A key absent from
+   it (evicted earlier in the batch) is computed inline. *)
+let schedule_reply t ~spans ~computed ~id prep =
+  match tick spans "cache_lookup" (fun () -> Lru.find t.cache prep.key) with
+  | Some entry ->
+      record_hit t;
+      scheduled_reply ~id ~key:prep.key ~cached:true entry
+  | None -> (
+      let result, ns =
+        match Hashtbl.find_opt computed prep.key with
+        | Some r ->
+            Hashtbl.remove computed prep.key;
+            r
+        | None -> timed_compute prep
       in
-      match tick "cache_lookup" (fun () -> Lru.find t.cache key) with
-      | Some ({ replan = Some info; _ } as entry) ->
-          record_hit t;
-          t.last_replan <- info.strategy;
-          replanned_reply ~id ~key ~cached:true entry info
-      | Some { replan = None; _ } | None -> (
-          let deadline_ns =
-            deadline_ns_of (effective_deadline t deadline_ms)
-          in
-          match
-            tick "replan" (fun () ->
-                replan_entry t ~deadline_ns ~session ~fail_pes ~fail_links)
-          with
-          | Ok ({ replan = Some info; _ } as entry) ->
-              record_miss t;
-              commit t key entry;
-              t.last_replan <- info.strategy;
-              replanned_reply ~id ~key ~cached:false entry info
-          | Ok { replan = None; _ } ->
-              P.Error_reply
-                { id = Some id; err = err "internal" "replan lost its plan" }
-          | Error e ->
-              t.last_replan <- "failed";
-              P.Error_reply { id = Some id; err = e }))
-
-let handle t ~id request = handle_with t ~id request
-
-let continue_of_request = function P.Shutdown -> `Shutdown | _ -> `Continue
+      Option.iter (fun r -> r := ("compaction", ns) :: !r) spans;
+      record_miss t;
+      match result with
+      | Ok entry ->
+          commit t prep.key entry;
+          scheduled_reply ~id ~key:prep.key ~cached:false entry
+      | Error e -> P.Error_reply { id = Some id; err = e })
 
 (* One NDJSON log line per request/reply.  Guarded on [Log.enabled] so
    the kv lists are never allocated while logging is off. *)
@@ -727,66 +684,132 @@ let log_reply ~t0 ?request_id reply =
           L.Warn event
   end
 
-let handle_line_with ?precomputed t line =
+(* A request line after the batch's first pass: parsed once and, for a
+   schedule request, resolved once.  Resolution never reads the cache,
+   so resolving every line up front is resolving it at its turn. *)
+type request_line =
+  | Rejected of int option * P.err  (* unparsable or unresolvable *)
+  | Sched of int * prepared
+  | Other of int * P.request
+
+type parsed = {
+  t0 : int;  (* clock at parse start: the logged duration's origin *)
+  spans : (string * int) list ref option;  (* Some for "trace":true *)
+  line : request_line;
+}
+
+let parse_line t line =
   let t0 = Obs.Trace.now_ns () in
   match P.parse_request line with
-  | Error (id, e) ->
-      t.requests <- t.requests + 1;
-      Obs.Counters.incr c_requests;
-      let reply = P.Error_reply { id; err = e } in
-      let out = P.reply_to_json reply in
-      log_reply ~t0 ?request_id:id reply;
-      (out, `Continue)
-  | Ok (id, request, false) ->
-      let reply = handle_with ?precomputed t ~id request in
-      let out = P.reply_to_json reply in
-      log_reply ~t0 ~request_id:id reply;
-      (out, continue_of_request request)
-  | Ok (id, request, true) ->
-      (* Traced: the reply bytes are the untraced serialisation with the
-         span list spliced in front of the closing brace — byte-identical
-         modulo the trailing "trace" field (pinned in test_service.ml). *)
-      let spans = ref [ ("parse", Obs.Trace.now_ns () - t0) ] in
-      let reply = handle_with ?precomputed ~spans t ~id request in
-      let e0 = Obs.Trace.now_ns () in
-      let base = P.reply_to_json reply in
-      let export_ns = Obs.Trace.now_ns () - e0 in
-      let out = P.with_trace base (List.rev (("export", export_ns) :: !spans)) in
-      log_reply ~t0 ~request_id:id reply;
-      (out, continue_of_request request)
+  | Error (id, e) -> { t0; spans = None; line = Rejected (id, e) }
+  | Ok (id, request, traced) ->
+      let spans =
+        if traced then Some (ref [ ("parse", Obs.Trace.now_ns () - t0) ])
+        else None
+      in
+      let line =
+        match request with
+        | P.Schedule { graph; arch; knobs } -> (
+            let resolved () = resolve t ~graph ~arch knobs in
+            match tick spans "resolve" resolved with
+            | Ok prep -> Sched (id, prep)
+            | Error e -> Rejected (Some id, e))
+        | request -> Other (id, request)
+      in
+      { t0; spans; line }
 
-let handle_line t line = handle_line_with t line
+let reply_line t ~computed { t0; spans; line } =
+  t.requests <- t.requests + 1;
+  Obs.Counters.incr c_requests;
+  let reply =
+    match line with
+    | Rejected (id, e) -> P.Error_reply { id; err = e }
+    | Sched (id, prep) -> schedule_reply t ~spans ~computed ~id prep
+    | Other (id, P.Stats) -> P.Stats_reply { id; stats = stats t }
+    | Other (id, P.Metrics) ->
+        P.Metrics_reply { id; body = tick spans "render" Obs.Exposition.render }
+    | Other (id, P.Health) -> P.Health_reply { id; health = health t }
+    | Other (id, P.Shutdown) -> P.Shutdown_ack { id }
+    | Other (id, P.Replan { session; fail_pes; fail_links; deadline_ms }) -> (
+        let key =
+          Cachekey.replan_digest ~parent:session ~failed_pes:fail_pes
+            ~failed_links:fail_links
+        in
+        match tick spans "cache_lookup" (fun () -> Lru.find t.cache key) with
+        | Some ({ replan = Some info; _ } as entry) ->
+            record_hit t;
+            t.last_replan <- info.strategy;
+            replanned_reply ~id ~key ~cached:true entry info
+        | Some { replan = None; _ } | None -> (
+            let deadline_ns =
+              deadline_ns_of (effective_deadline t deadline_ms)
+            in
+            match
+              tick spans "replan" (fun () ->
+                  replan_entry t ~deadline_ns ~session ~fail_pes ~fail_links)
+            with
+            | Ok ({ replan = Some info; _ } as entry) ->
+                record_miss t;
+                commit t key entry;
+                t.last_replan <- info.strategy;
+                replanned_reply ~id ~key ~cached:false entry info
+            | Ok { replan = None; _ } ->
+                P.Error_reply
+                  { id = Some id; err = err "internal" "replan lost its plan" }
+            | Error e ->
+                t.last_replan <- "failed";
+                P.Error_reply { id = Some id; err = e }))
+    | Other (_, P.Schedule _) -> assert false (* parse_line made it a Sched *)
+  in
+  let request_id, continue =
+    match line with
+    | Rejected (id, _) -> (id, `Continue)
+    | Other (id, P.Shutdown) -> (Some id, `Shutdown)
+    | Sched (id, _) | Other (id, _) -> (Some id, `Continue)
+  in
+  let out =
+    match spans with
+    | None -> P.reply_to_json reply
+    | Some r ->
+        (* Traced: the reply bytes are the untraced serialisation with
+           the span list spliced in front of the closing brace —
+           byte-identical modulo the trailing "trace" field (pinned in
+           test_service.ml). *)
+        let e0 = Obs.Trace.now_ns () in
+        let base = P.reply_to_json reply in
+        let export_ns = Obs.Trace.now_ns () - e0 in
+        P.with_trace base (List.rev (("export", export_ns) :: !r))
+  in
+  log_reply ~t0 ?request_id reply;
+  (out, continue)
 
 let handle_batch ?domains t lines =
-  (* Phase 1: resolve every line and collect the distinct schedule keys
-     that miss the cache right now; compute those in parallel.  Replans
-     stay sequential in phase 2 — they may chain on schedule sessions
+  (* Pass 1: parse and resolve every line, and compute the distinct
+     schedule keys that miss the cache right now in parallel.  Replans
+     stay sequential in pass 2 — they may chain on schedule sessions
      committed earlier in the same batch, and their patch/rebuild cost
      is a fraction of a compaction search. *)
-  let jobs = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun line ->
-      match P.parse_request line with
-      (* traced lines are excluded so their compaction span is measured
-         for real in phase 2, not reduced to a table lookup *)
-      | Ok (_, P.Schedule { graph; arch; knobs }, false) -> (
-          match resolve t ~graph ~arch knobs with
-          | Ok prep
-            when (not (Lru.mem t.cache prep.key))
-                 && not (Hashtbl.mem jobs prep.key) ->
-              Hashtbl.add jobs prep.key prep;
-              order := prep.key :: !order
-          | Ok _ | Error _ -> ())
-      | Ok _ | Error _ -> ())
-    lines;
-  let keys = List.rev !order in
-  let precomputed = Hashtbl.create (List.length keys) in
-  List.combine keys
-    (Parutil.Parallel.map ?domains
-       (fun key -> compute (Hashtbl.find jobs key))
-       keys)
-  |> List.iter (fun (key, result) -> Hashtbl.add precomputed key result);
-  (* Phase 2: sequential dispatch in request order — byte-identical to
-     handle_line on each line in turn. *)
-  List.map (fun line -> handle_line_with ~precomputed t line) lines
+  let parsed = List.map (parse_line t) lines in
+  let queued = Hashtbl.create 8 in
+  let misses =
+    List.filter_map
+      (fun p ->
+        match p.line with
+        | Sched (_, prep)
+          when not (Lru.mem t.cache prep.key || Hashtbl.mem queued prep.key) ->
+            Hashtbl.add queued prep.key ();
+            Some prep
+        | _ -> None)
+      parsed
+  in
+  let computed = Hashtbl.create (List.length misses) in
+  if misses <> [] then
+    List.iter2
+      (fun prep r -> Hashtbl.add computed prep.key r)
+      misses
+      (Parutil.Parallel.map ?domains timed_compute misses);
+  (* Pass 2: sequential dispatch in request order — byte-identical to
+     handling each line on its own in turn. *)
+  List.map (reply_line t ~computed) parsed
+
+let handle_line t line = List.hd (handle_batch t [ line ])

@@ -53,21 +53,21 @@ val close : t -> unit
 (** Release the warm-restart journal's file handle (a no-op without
     [state_dir]).  The engine must not be used afterwards. *)
 
-val handle : t -> id:int -> Protocol.request -> Protocol.reply
-(** Answer one request.  Never raises: every failure mode becomes an
-    [Error_reply].  A [Shutdown] request is acknowledged but acting on
-    it is the caller's job. *)
-
 val handle_line : t -> string -> string * [ `Continue | `Shutdown ]
 (** Parse one request line, handle it, serialise the reply (no trailing
-    newline).  [`Shutdown] flags an acknowledged shutdown request. *)
+    newline): {!handle_batch} of one line.  Never raises: every failure
+    mode becomes an error reply.  [`Shutdown] flags an acknowledged
+    shutdown request; acting on it is the caller's job. *)
 
 val handle_batch :
   ?domains:int -> t -> string list -> (string * [ `Continue | `Shutdown ]) list
-(** {!handle_line} over a batch, with all cache-missing schedule
-    computations run in parallel over [domains] (default: all cores).
-    Replies are returned in request order and are byte-identical to the
-    sequential ones. *)
+(** Answer a batch of request lines.  Each line is parsed, and each
+    schedule request resolved, exactly once; the batch's distinct
+    cache-missing schedule computations then run in parallel over
+    [domains] (default: all cores).  Replies are returned in request
+    order and are byte-identical to handling the lines one by one with
+    {!handle_line}.  Every resolution records a [service.resolve] span
+    when [Obs.Trace] is on. *)
 
 val stats : t -> Protocol.stats
 

@@ -253,12 +253,13 @@ let () =
                  deadline_ms = None;
                })));
     (* 3. kill the daemon mid-request: the in-flight search needs
-       hundreds of ms, the kill lands within ~10 *)
+       hundreds of ms (lms4 on mesh:4x4 runs all 10000 passes), the
+       kill lands within ~10 *)
     let in_flight =
       P.request_to_json ~id:999
         (P.Schedule
            {
-             graph = P.Workload "elliptic-slow3";
+             graph = P.Workload "lms4";
              arch = "mesh:4x4";
              knobs = { P.default_knobs with P.passes = Some 10_000 };
            })

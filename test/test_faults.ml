@@ -356,19 +356,32 @@ let test_exhaustive_budget_carries_best_so_far () =
   | Cyclo.Exhaustive.Gave_up best ->
       check_bool "timeout also carries best-so-far" true (best <> None)
 
+(* The autotune preset under a budget: a zero budget retires every
+   search at its first pass boundary, so the best is the start-up
+   schedule, flagged, for any domain count. *)
 let test_autotune_budget_reports_exhaustion () =
   let g = Workloads.Examples.fig7 in
   let topo = Topology.mesh ~rows:2 ~cols:4 in
-  let full = Cyclo.Autotune.run_on ~parallel:false g topo in
-  check_bool "no budget: not exhausted" false full.Cyclo.Autotune.exhausted;
+  let autotune ?time_budget domains =
+    Cyclo.Portfolio.run_on ~k:4 ~prune:false ~polish:true ~domains
+      ?time_budget g topo
+  in
+  let full = autotune 1 in
+  check_bool "no budget: not timed out" false full.Cyclo.Portfolio.timed_out;
   check "no budget: all configurations" 4
-    (List.length full.Cyclo.Autotune.table);
-  let cut = Cyclo.Autotune.run_on ~time_budget:0. g topo in
-  check_bool "zero budget: exhausted" true cut.Cyclo.Autotune.exhausted;
-  check "zero budget: first configuration only" 1
-    (List.length cut.Cyclo.Autotune.table);
+    (List.length full.Cyclo.Portfolio.members);
+  let signature t = Cyclo.Schedule.signature (Cyclo.Portfolio.best t) in
+  let cut = autotune ~time_budget:0. 2 in
+  check_bool "zero budget: timed out" true cut.Cyclo.Portfolio.timed_out;
   check_bool "still returns a legal best" true
-    (Result.is_ok (Cyclo.Validator.check cut.Cyclo.Autotune.best))
+    (Result.is_ok (Cyclo.Validator.check (Cyclo.Portfolio.best cut)));
+  Alcotest.(check string)
+    "zero budget: the start-up schedule"
+    (Cyclo.Schedule.signature (Cyclo.Startup.run_on g topo))
+    (signature cut);
+  Alcotest.(check string)
+    "same best for 1 and 2 domains" (signature cut)
+    (signature (autotune ~time_budget:0. 1))
 
 let () =
   Alcotest.run "faults"

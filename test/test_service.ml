@@ -435,6 +435,31 @@ let test_traced_reply_byte_identity () =
         (strip_trace traced_hit)
   | _ -> Alcotest.fail "expected three batch replies")
 
+(* A batch parses and resolves each line once: N schedule lines record
+   exactly N resolve spans, whether they hit, miss, repeat or trace. *)
+let test_batch_resolves_each_line_once () =
+  let lines =
+    [
+      sched_line ~id:1 "fig7" "mesh:2x4";
+      sched_line ~id:2 "fig7" "ring:8";
+      sched_line ~id:3 "fig7" "mesh:2x4";
+      traced_sched_line ~id:4 "fig7" "ring:4";
+      sched_line ~id:5 "no-such-workload" "ring:4";
+    ]
+  in
+  let e = Engine.create () in
+  ignore (Engine.handle_line e (sched_line ~id:0 "fig7" "mesh:2x4"));
+  Obs.Trace.enable ();
+  ignore (Engine.handle_batch ~domains:2 e lines);
+  Obs.Trace.disable ();
+  let resolves =
+    List.filter
+      (fun s -> s.Obs.Trace.name = "service.resolve")
+      (Obs.Trace.spans ())
+  in
+  check "one resolve span per schedule line" (List.length lines)
+    (List.length resolves)
+
 (* {2 The socket itself} *)
 
 let with_server ?(config = fun c -> c) f =
@@ -1136,6 +1161,8 @@ let () =
         [
           Alcotest.test_case "parallel equals sequential" `Quick
             test_batch_matches_sequential;
+          Alcotest.test_case "resolves each line once" `Quick
+            test_batch_resolves_each_line_once;
         ] );
       ( "protocol",
         [
