@@ -82,6 +82,80 @@ let test_best_signatures () =
   check_against best_golden (fun g topo ->
       (Compaction.run_on ~validate:false g topo).Compaction.best)
 
+(* Whole compaction trajectories on seeded scale-tier graphs, well past
+   the sizes of the shipped workloads above.  Per cell: passes run,
+   whether the search converged, MD5 of the best and final signatures,
+   and MD5 of the trace (rotated labels, length and outcome per pass). *)
+let md5 s = Digest.to_hex (Digest.string s)
+
+let trajectory_key (r : Compaction.result) =
+  let trace =
+    String.concat "\n"
+      (List.map
+         (fun (e : Compaction.trace_entry) ->
+           Fmt.str "%d {%s} %d %a" e.pass
+             (String.concat " " e.rotated)
+             e.length Compaction.pp_outcome e.outcome)
+         r.trace)
+  in
+  Printf.sprintf "passes=%d converged=%b best=%d:%s final=%d:%s trace=%s"
+    (List.length r.trace) r.converged
+    (Schedule.length r.best)
+    (md5 (Schedule.signature r.best))
+    (Schedule.length r.final)
+    (md5 (Schedule.signature r.final))
+    (md5 trace)
+
+(* Taken from the map-backed schedule representation. *)
+let trajectory_golden =
+  [
+    ("layered-60 on linear:8 with-relaxation",
+     "passes=240 converged=false best=17:9f35cdd7a973292b810a3e0e5512560a final=19:c93d6cff536017eb8d481e09ad3ff926 trace=7611e8d5be7c04cf3dcc0bda1900f750");
+    ("layered-60 on linear:8 without-relaxation",
+     "passes=12 converged=true best=23:ca42dc7d077d8606d36709b2434d884b final=23:e60b9c6c4feb14708f8a96c7ae887812 trace=ada59e65d2bb539bd8b7df479666ce61");
+    ("layered-60 on mesh:4x4 with-relaxation",
+     "passes=240 converged=false best=15:27ab0b01a48f69f6e10d677645a8b406 final=18:f364a3afc64085e40faccf3766fcb739 trace=e9535a1da2b1dd7290dcccc1230f0df9");
+    ("layered-60 on mesh:4x4 without-relaxation",
+     "passes=17 converged=true best=16:d829e1ffb7f6066137daad545ed61817 final=16:d829e1ffb7f6066137daad545ed61817 trace=b3f22a32e2c23fecbaac0a0b9e0ac64b");
+    ("layered-120 on linear:8 with-relaxation",
+     "passes=480 converged=false best=29:ac60e856cb4ca53df42c1e126fa02abc final=31:3711fd57b636d331818df8d60d99054d trace=c69eccfd4c72f9b992095fdc071093f3");
+    ("layered-120 on linear:8 without-relaxation",
+     "passes=33 converged=true best=32:7154f3ef566debfdc8a94a6fb13eda28 final=32:7154f3ef566debfdc8a94a6fb13eda28 trace=a522a15801c12e51b4b1b6508c381357");
+    ("layered-120 on mesh:4x4 with-relaxation",
+     "passes=480 converged=false best=17:20491b486dbae23af129db688278d5dd final=19:ab5d0936e07d036fad746f74670751f5 trace=a415a485e8ecfae06cdddbcc86f2c64e");
+    ("layered-120 on mesh:4x4 without-relaxation",
+     "passes=27 converged=true best=22:34d4b31f74b81a3ce196e3935071b08d final=22:34d4b31f74b81a3ce196e3935071b08d trace=dfef0f1d6d297fa9de9fea7b914951e2");
+  ]
+
+let trajectory_cells =
+  List.concat_map
+    (fun n ->
+      List.concat_map
+        (fun arch ->
+          List.map (fun mode -> (n, arch, mode))
+            [ Cyclo.Remap.With_relaxation; Cyclo.Remap.Without_relaxation ])
+        [ "linear:8"; "mesh:4x4" ])
+    [ 60; 120 ]
+
+let cell_name (n, arch, mode) =
+  Fmt.str "layered-%d on %s %a" n arch Cyclo.Remap.pp_mode mode
+
+let trajectory (n, arch, mode) =
+  let g = Workloads.Random_gen.layered ~nodes:n ~seed:(n + 3) () in
+  let topo = Result.get_ok (Topology.of_spec arch) in
+  trajectory_key (Compaction.run_on ~mode ~validate:false g topo)
+
+let test_trajectories () =
+  Alcotest.(check int)
+    "one golden entry per cell" (List.length trajectory_cells)
+    (List.length trajectory_golden);
+  List.iter
+    (fun c ->
+      Alcotest.(check string) (cell_name c)
+        (List.assoc (cell_name c) trajectory_golden)
+        (trajectory c))
+    trajectory_cells
+
 let () =
   Alcotest.run "golden_signatures"
     [
@@ -90,5 +164,7 @@ let () =
           Alcotest.test_case "startup schedules" `Quick test_startup_signatures;
           Alcotest.test_case "compacted best schedules" `Quick
             test_best_signatures;
+          Alcotest.test_case "scale-tier trajectories" `Quick
+            test_trajectories;
         ] );
     ]
