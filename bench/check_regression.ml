@@ -21,7 +21,12 @@
    - scale cells (layered DAGs at 10^4/10^5 nodes): startup length is
      deterministic and must not grow, peak RSS must stay under an
      absolute per-cell ceiling, and ns/node is held to the same-host
-     tolerance like ns/run.
+     tolerance like ns/run;
+   - compaction cells (a fixed 32 passes with validation on the same
+     layered graphs, 10^3 nodes always and 10^4 in full runs): the
+     schedule length after the passes is deterministic, so any change
+     fails; ns/pass is held to the same-host tolerance after
+     calibration.
 
    Exit codes: 0 ok / nothing to compare, 1 regression, 2 bad history. *)
 
@@ -76,6 +81,11 @@ type scale_cell = {
   sc_startup_peak_rss : float;  (* bytes; covers generation too (monotone) *)
 }
 
+type compact_cell = {
+  cc_ns_per_pass : float;
+  cc_length : int;  (* schedule length after the fixed passes *)
+}
+
 (* Absolute peak-RSS ceiling per scale cell, in bytes.  Unlike the
    relative ns/run comparisons this is a hard budget: the scale tier
    exists to catch the occupancy index or the sweep going superlinear,
@@ -104,6 +114,8 @@ type record = {
       (* absent in records predating the logging overhead cell *)
   scale : (string * scale_cell) list option;
       (* absent in records predating the scale tier *)
+  compaction : (string * compact_cell) list option;
+      (* absent in records predating the compaction curve *)
 }
 
 let malformed line what =
@@ -216,6 +228,20 @@ let validate line json =
                          Obs.Json.to_num;
                    } )))
   in
+  let compaction =
+    match Obs.Json.member "compaction" json with
+    | None -> None
+    | Some _ ->
+        Some
+          (field line json "compaction" Obs.Json.to_list
+          |> List.map (fun item ->
+                 ( field line item "name" Obs.Json.to_str,
+                   {
+                     cc_ns_per_pass =
+                       field line item "ns_per_pass" Obs.Json.to_num;
+                     cc_length = field line item "length" Obs.Json.to_int;
+                   } )))
+  in
   let calibration =
     match Obs.Json.member "calibration_ns" json with
     | None -> None
@@ -225,7 +251,7 @@ let validate line json =
         | _ -> malformed line "malformed \"calibration_ns\"")
   in
   { line; host = field line json "host" Obs.Json.to_str; quick; calibration;
-    benchmarks; schedules; portfolio; service; telemetry; scale }
+    benchmarks; schedules; portfolio; service; telemetry; scale; compaction }
 
 let load path =
   let ic =
@@ -462,6 +488,70 @@ let () =
                               "scale %s: ns/node improved %+.1f%%\n" name
                               delta)
                     cells)));
+      (* compaction curve: the schedule length after the fixed passes is
+         deterministic, so any change against the most recent record
+         carrying the cell fails; ns/pass compares same-host, same-quota
+         after calibration, like ns/node. *)
+      (match candidate.compaction with
+      | None -> print_endline "no compaction record; skipping compaction gate"
+      | Some cells ->
+          List.iter
+            (fun (name, c) ->
+              Printf.printf "compaction %s: %.1f ns/pass, length %d\n" name
+                c.cc_ns_per_pass c.cc_length;
+              match
+                List.find_map
+                  (fun r -> Option.bind r.compaction (List.assoc_opt name))
+                  earlier
+              with
+              | Some c0 when c0.cc_length <> c.cc_length ->
+                  fail "compaction %s: length after the passes %d -> %d" name
+                    c0.cc_length c.cc_length
+              | Some _ | None -> ())
+            cells;
+          match
+            List.find_opt
+              (fun r ->
+                r.host = candidate.host && r.quick = candidate.quick
+                && r.compaction <> None)
+              earlier
+          with
+          | None ->
+              Printf.printf
+                "no earlier compaction record from host %S (quick=%b); \
+                 skipping ns/pass comparison\n"
+                candidate.host candidate.quick
+          | Some baseline -> (
+              match speed_ratio candidate baseline with
+              | None ->
+                  Printf.printf
+                    "compaction baseline at line %d has no shared \
+                     calibration; skipping ns/pass comparison\n"
+                    baseline.line
+              | Some ratio ->
+                  List.iter
+                    (fun (name, c) ->
+                      match
+                        Option.bind baseline.compaction (List.assoc_opt name)
+                      with
+                      | None -> ()
+                      | Some c0 when c0.cc_ns_per_pass <= 0. -> ()
+                      | Some c0 ->
+                          let expect = c0.cc_ns_per_pass *. ratio in
+                          let delta =
+                            100. *. ((c.cc_ns_per_pass /. expect) -. 1.)
+                          in
+                          if delta > tolerance then
+                            fail
+                              "compaction %s: %.1f ns/pass -> %.1f ns/pass \
+                               (%+.1f%% > %.0f%% after x%.2f calibration)"
+                              name c0.cc_ns_per_pass c.cc_ns_per_pass delta
+                              tolerance ratio
+                          else if delta < -.tolerance then
+                            Printf.printf
+                              "compaction %s: ns/pass improved %+.1f%%\n" name
+                              delta)
+                    cells));
       (* ns/run: same host, same quota class only *)
       (match
          List.find_opt

@@ -281,6 +281,61 @@ let scale_json cells =
   Buffer.add_char buf ']';
   Buffer.contents buf
 
+(* Compaction curve: a fixed [compact_passes] passes with per-pass
+   validation on, from the start-up schedule of the same layered graphs
+   on linear:8 — 10^3 nodes in every run, 10^4 in full runs only.  The
+   schedule length after the passes is deterministic, so the regression
+   gate fails on any change to it; ns/pass is compared against same-host
+   history after calibration, like ns/node. *)
+let compact_passes = 32
+
+type compact_cell = {
+  cc_name : string;
+  cc_nodes : int;
+  cc_passes : int;  (* run; fewer than [compact_passes] if it converged *)
+  cc_ns_per_pass : float;
+  cc_words_per_pass : float;
+  cc_length : int;
+}
+
+let compaction_cells ~quick () =
+  List.map
+    (fun nodes ->
+      let g = Workloads.Random_gen.layered ~nodes ~seed:1 () in
+      let s = Cyclo.Startup.run_on g (Topology.linear_array 8) in
+      let st = Compaction.stepper ~budget:compact_passes ~validate:true s in
+      let words () =
+        let minor, promoted, major = Gc.counters () in
+        minor +. major -. promoted
+      in
+      let w0 = words () and t0 = Obs.Trace.now_ns () in
+      ignore (Compaction.advance ~passes:compact_passes st);
+      let dt = Obs.Trace.now_ns () - t0 and dw = words () -. w0 in
+      let passes = max 1 (Compaction.passes_run st) in
+      {
+        cc_name = Csdfg.name g;
+        cc_nodes = nodes;
+        cc_passes = Compaction.passes_run st;
+        cc_ns_per_pass = float_of_int dt /. float_of_int passes;
+        cc_words_per_pass = dw /. float_of_int passes;
+        cc_length = Schedule.length (Compaction.stepper_result st).final;
+      })
+    (if quick then [ 1_000 ] else [ 1_000; 10_000 ])
+
+let compaction_json cells =
+  "["
+  ^ String.concat ","
+      (List.map
+         (fun c ->
+           Printf.sprintf
+             "{\"name\":\"%s\",\"nodes\":%d,\"topology\":\"linear8\",\
+              \"passes\":%d,\"ns_per_pass\":%.1f,\
+              \"alloc_words_per_pass\":%.1f,\"length\":%d}"
+             (json_escape c.cc_name) c.cc_nodes c.cc_passes c.cc_ns_per_pass
+             c.cc_words_per_pass c.cc_length)
+         cells)
+  ^ "]"
+
 (* Portfolio vs sequential pair: the same K diversified searches driven
    with shared-bound pruning (Portfolio.run defaults) against the
    baseline that drives every search to its natural end
@@ -656,7 +711,8 @@ let calibration_ns () =
    ns/run figures are only comparable between records with a shared
    calibration baseline (hostname alone does not pin the hardware), so
    host, --quick setting and calibration are all recorded. *)
-let append_history path ~quick ~cal rows sched_rows scale pf_cells svc tel =
+let append_history path ~quick ~cal rows sched_rows scale compact pf_cells svc
+    tel =
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
@@ -707,6 +763,8 @@ let append_history path ~quick ~cal rows sched_rows scale pf_cells svc tel =
     pf_cells;
   Buffer.add_string buf "]},\"scale\":";
   Buffer.add_string buf (scale_json scale);
+  Buffer.add_string buf ",\"compaction\":";
+  Buffer.add_string buf (compaction_json compact);
   Buffer.add_string buf ",\"service\":";
   Buffer.add_string buf (service_json svc);
   Buffer.add_string buf ",\"telemetry\":";
@@ -736,7 +794,7 @@ let phase_profile () =
    single [output_string]: partial files from a crash mid-emission
    cannot then look like valid (truncated-but-parseable) JSON, and the
    emission itself stops being a long sequence of tiny writes. *)
-let emit_json path ~cal rows scale pf_cells svc tel =
+let emit_json path ~cal rows scale compact pf_cells svc tel =
   let find name = List.assoc_opt name rows in
   let speedup =
     match
@@ -789,6 +847,7 @@ let emit_json path ~cal rows scale pf_cells svc tel =
     pf_cells;
   Buffer.add_string buf "  ]";
   Printf.bprintf buf ",\n  \"scale\": %s" (scale_json scale);
+  Printf.bprintf buf ",\n  \"compaction\": %s" (compaction_json compact);
   Printf.bprintf buf ",\n  \"service\": %s" (service_json svc);
   Printf.bprintf buf ",\n  \"telemetry\": %s" (telemetry_json tel);
   let phases, counters = phase_profile () in
@@ -840,6 +899,16 @@ let () =
      as a uniform ns/run regression.  Return the heap to baseline before
      measuring anything else. *)
   Gc.compact ();
+  let compact = compaction_cells ~quick () in
+  List.iter
+    (fun c ->
+      Fmt.pr
+        "compaction %-16s %6d nodes on linear8  %d passes  %10.1f ns/pass  \
+         %9.1f words/pass  len %d@."
+        c.cc_name c.cc_nodes c.cc_passes c.cc_ns_per_pass c.cc_words_per_pass
+        c.cc_length)
+    compact;
+  Gc.compact ();
   let cal = calibration_ns () in
   Fmt.pr "calibration %d ns (frozen loop, best of 5)@." cal;
   let rows =
@@ -890,6 +959,6 @@ let () =
   Fmt.pr
     "telemetry hit path log-off %.1f ns, log-on %.1f ns (overhead %.3fx)@."
     tel.tel_log_off_ns tel.tel_log_on_ns tel.tel_overhead;
-  emit_json "BENCH_sched.json" ~cal rows scale pf_cells svc tel;
+  emit_json "BENCH_sched.json" ~cal rows scale compact pf_cells svc tel;
   append_history "BENCH_history.jsonl" ~quick ~cal rows sched_rows scale
-    pf_cells svc tel
+    compact pf_cells svc tel

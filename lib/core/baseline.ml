@@ -15,13 +15,14 @@ let repair sched comm =
         | c -> c)
       (Csdfg.nodes dfg)
   in
-  let repaired =
-    ref (Schedule.empty ~speeds:(Schedule.speeds sched) dfg comm)
+  let b =
+    Schedule.builder (Schedule.empty ~speeds:(Schedule.speeds sched) dfg comm)
   in
   let last_on_pe = Hashtbl.create 8 in
   List.iter
     (fun v ->
       let pe = Schedule.pe sched v in
+      let repaired = Schedule.current b in
       let data_bound =
         List.fold_left
           (fun acc (e : Csdfg.attr G.edge) ->
@@ -29,23 +30,23 @@ let repair sched comm =
             else begin
               let u = e.G.src in
               let m =
-                Comm.cost comm ~src:(Schedule.pe !repaired u) ~dst:pe
+                Comm.cost comm ~src:(Schedule.pe repaired u) ~dst:pe
                   ~volume:(Csdfg.volume e)
               in
-              max acc (Schedule.ce !repaired u + m + 1)
+              max acc (Schedule.ce repaired u + m + 1)
             end)
           1 (Csdfg.pred dfg v)
       in
       let resource_bound =
         match Hashtbl.find_opt last_on_pe pe with
         | None -> 1
-        | Some u -> Schedule.ce !repaired u + 1
+        | Some u -> Schedule.ce repaired u + 1
       in
-      repaired :=
-        Schedule.assign !repaired ~node:v ~cb:(max data_bound resource_bound) ~pe;
+      Schedule.place b ~node:v ~cb:(max data_bound resource_bound) ~pe;
       Hashtbl.replace last_on_pe pe v)
     order;
-  Schedule.set_length !repaired (Timing.required_length !repaired)
+  let repaired = Schedule.finish b in
+  Schedule.set_length repaired (Timing.required_length repaired)
 
 let list_oblivious dfg topo =
   let zero = Comm.zero ~n:(Topology.n_processors topo) ~name:"zero-comm" in

@@ -54,35 +54,36 @@ let c_outcome = function
   | Fell_back -> c_fell_back
   | Stuck -> c_stuck
 
-let pass ?scoring ?order mode sched =
+(* One pass: normalize, pad to the required length, rotate, remap.
+   Returns the rotated set J with the result.  [padded] says [sched] is
+   already at its required length (every pass result is), so when
+   normalizing moves nothing the padding is not recomputed. *)
+let run_pass ?scoring ?order ~padded mode sched =
   Obs.Trace.with_span "compaction.pass" @@ fun () ->
-  let sched = Schedule.normalize sched in
-  let sched = Schedule.set_length sched (Timing.required_length sched) in
-  let result =
+  let normalized = Schedule.normalize sched in
+  let sched =
+    if padded && normalized == sched then sched
+    else Schedule.set_length normalized (Timing.required_length normalized)
+  in
+  let rotated, result =
     match Rotation.start sched with
-    | Error _ -> (sched, Stuck)
+    | Error _ -> (Schedule.first_row sched, (sched, Stuck))
     | Ok rot -> (
-        match Remap.run ?scoring ?order mode rot with
-        | Remap.Remapped next ->
-            (next, classify ~previous:(Schedule.length sched)
-                     ~next:(Schedule.length next) None)
-        | Remap.Fallback next -> (next, Fell_back)
-        | Remap.Stuck -> (sched, Stuck))
+        ( rot.Rotation.rotated,
+          match Remap.run ?scoring ?order mode rot with
+          | Remap.Remapped next ->
+              ( next,
+                classify ~previous:(Schedule.length sched)
+                  ~next:(Schedule.length next) None )
+          | Remap.Fallback next -> (next, Fell_back)
+          | Remap.Stuck -> (sched, Stuck) ))
   in
   Obs.Counters.incr c_passes;
   Obs.Counters.incr (c_outcome (snd result));
-  result
+  (rotated, result)
 
-(* A state repeats when both the placement and the (retimed) delay
-   distribution repeat.  Hashed structurally (no string building): the
-   drive loop runs this once per pass, and string signatures of large
-   graphs dominated the pass bookkeeping. *)
-let state_hash sched =
-  let dfg = Schedule.dfg sched in
-  List.fold_left
-    (fun h e -> (h lxor Csdfg.delay e) * 0x100000001b3)
-    (Schedule.hash sched) (Csdfg.edges dfg)
-  land max_int
+let pass ?scoring ?order mode sched =
+  snd (run_pass ?scoring ?order ~padded:false mode sched)
 
 (* Resumable search state.  [drive] below is a thin wrapper that runs a
    stepper to completion in one call; Portfolio instead interleaves many
@@ -99,6 +100,7 @@ type stepper = {
   sp_startup : Schedule.t;
   sp_seen : (int, unit) Hashtbl.t;
   mutable sp_sched : Schedule.t;
+  mutable sp_padded : bool;  (* sp_sched is at its required length *)
   mutable sp_best : Schedule.t;
   mutable sp_trace : trace_entry list;  (* reversed *)
   mutable sp_next : int;  (* 1-based index of the next pass to run *)
@@ -109,7 +111,7 @@ type stepper = {
 let stepper ?(mode = Remap.With_relaxation) ?scoring ?order ~budget
     ?(validate = true) startup =
   let seen : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.add seen (state_hash startup) ();
+  Hashtbl.add seen (Schedule.state_hash startup) ();
   {
     sp_mode = mode;
     sp_scoring = scoring;
@@ -119,6 +121,7 @@ let stepper ?(mode = Remap.With_relaxation) ?scoring ?order ~budget
     sp_startup = startup;
     sp_seen = seen;
     sp_sched = startup;
+    sp_padded = false;
     sp_best = startup;
     sp_trace = [];
     sp_next = 1;
@@ -151,13 +154,11 @@ let advance ?should_stop ~passes st =
     else begin
       let i = st.sp_next in
       let sched = st.sp_sched in
-      let rotated =
-        List.map (Csdfg.label (Schedule.dfg sched))
-          (Schedule.first_row (Schedule.normalize sched))
+      let rotated, (next, outcome) =
+        run_pass ?scoring:st.sp_scoring ?order:st.sp_order
+          ~padded:st.sp_padded st.sp_mode sched
       in
-      let next, outcome =
-        pass ?scoring:st.sp_scoring ?order:st.sp_order st.sp_mode sched
-      in
+      let rotated = List.map (Schedule.label sched) rotated in
       if st.sp_validate then Validator.assert_legal next;
       Log.debug (fun m ->
           m "pass %d: rotate {%s} -> length %d (%a)" i
@@ -176,9 +177,12 @@ let advance ?should_stop ~passes st =
       if Schedule.length next < Schedule.length st.sp_best then
         st.sp_best <- next;
       st.sp_sched <- next;
+      st.sp_padded <- true;
       st.sp_trace <- entry :: st.sp_trace;
       st.sp_next <- i + 1;
-      let signature = state_hash next in
+      (* a state repeats when both the placement and the retimed delays
+         repeat *)
+      let signature = Schedule.state_hash next in
       if outcome = Stuck || Hashtbl.mem st.sp_seen signature then begin
         st.sp_converged <- true;
         st.sp_done <- true;
@@ -248,7 +252,7 @@ let resume ?(mode = Remap.With_relaxation) ?scoring ?order ?passes
   let budget =
     match passes with
     | Some p -> max 0 p
-    | None -> default_passes (Csdfg.n_nodes (Schedule.dfg sched))
+    | None -> default_passes (Schedule.n_nodes sched)
   in
   drive ~mode ?scoring ?order ~budget ?time_budget ~validate sched
 

@@ -131,17 +131,6 @@ let replan ?time_budget sched topo ~failed_pes ~failed_links =
          function, then first idle slot), ties broken by added
          communication, then processor id. *)
       let patch () =
-        let base =
-          List.fold_left
-            (fun s v ->
-              let p = Schedule.pe sched v in
-              if is_dead p then s
-              else
-                Schedule.assign s ~node:v ~cb:(Schedule.cb sched v)
-                  ~pe:of_original.(p))
-            (Schedule.empty ~speeds:dspeeds dfg dcomm)
-            nodes
-        in
         let victims =
           List.filter (fun v -> is_dead (Schedule.pe sched v)) nodes
           |> List.sort (fun a b ->
@@ -150,7 +139,8 @@ let replan ?time_budget sched topo ~failed_pes ~failed_links =
                  | c -> c)
         in
         let target = Schedule.length sched in
-        let place s v =
+        let place b v =
+          let s = Schedule.current b in
           let best = ref (max_int, max_int, -1) in
           for p = 0 to dnp - 1 do
             let span = Schedule.duration s ~node:v ~pe:p in
@@ -162,9 +152,19 @@ let replan ?time_budget sched topo ~failed_pes ~failed_links =
             if cand < !best then best := cand
           done;
           let cs, _, p = !best in
-          Schedule.assign s ~node:v ~cb:cs ~pe:p
+          Schedule.place b ~node:v ~cb:cs ~pe:p
         in
-        let s = List.fold_left place base victims in
+        let s =
+          Schedule.edit (Schedule.empty ~speeds:dspeeds dfg dcomm) (fun b ->
+              List.iter
+                (fun v ->
+                  let p = Schedule.pe sched v in
+                  if not (is_dead p) then
+                    Schedule.place b ~node:v ~cb:(Schedule.cb sched v)
+                      ~pe:of_original.(p))
+                nodes;
+              List.iter (place b) victims)
+        in
         let s = Schedule.set_length s (Timing.required_length s) in
         if valid_on s dtopo then Some s else None
       in

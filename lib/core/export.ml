@@ -66,10 +66,10 @@ let of_csv ?speeds dfg comm text =
   | Error _ as e -> e
   | Ok () -> (
       match
-        List.fold_left
-          (fun sched (node, cb, pe) -> Schedule.assign sched ~node ~cb ~pe)
-          (Schedule.empty ?speeds dfg comm)
-          (List.rev !rows)
+        Schedule.edit (Schedule.empty ?speeds dfg comm) (fun b ->
+            List.iter
+              (fun (node, cb, pe) -> Schedule.place b ~node ~cb ~pe)
+              (List.rev !rows))
       with
       | exception Invalid_argument msg -> Error msg
       | sched -> (

@@ -1,5 +1,3 @@
-module Csdfg = Dataflow.Csdfg
-
 type t = {
   rotated : int list;
   previous_length : int;
@@ -13,17 +11,15 @@ let c_fallbacks = Obs.Counters.counter "rotation.fallbacks_applied"
 
 let start sched =
   Obs.Trace.with_span "rotation.start" @@ fun () ->
-  let dfg = Schedule.dfg sched in
   if Schedule.n_assigned sched = 0 then Error "empty schedule"
   else begin
     match Schedule.first_row sched with
     | [] -> Error "no node starts at row 1 (schedule not normalized)"
     | rotated ->
-        if not (Dataflow.Retiming.can_rotate dfg rotated) then
+        if not (Schedule.can_retime sched rotated) then
           Error "rotation would create a negative delay (illegal schedule?)"
         else begin
           let previous_length = Schedule.length sched in
-          let retimed = Dataflow.Retiming.rotate_set dfg rotated in
           let fallback =
             List.map
               (fun v ->
@@ -32,9 +28,9 @@ let start sched =
               rotated
           in
           let base =
-            Schedule.unassign_all sched rotated
-            |> Schedule.shift_up
-            |> fun s -> Schedule.with_dfg s retimed
+            Schedule.retime
+              (Schedule.shift_up (Schedule.unassign_all sched rotated))
+              rotated
           in
           Obs.Counters.incr c_rotations;
           Obs.Counters.incr c_nodes_rotated ~by:(List.length rotated);
@@ -47,9 +43,10 @@ let start sched =
 let apply_fallback t =
   Obs.Counters.incr c_fallbacks;
   let sched =
-    List.fold_left
-      (fun s (v, { Schedule.cb; pe }) -> Schedule.assign s ~node:v ~cb ~pe)
-      t.base t.fallback
+    Schedule.edit t.base (fun b ->
+        List.iter
+          (fun (v, { Schedule.cb; pe }) -> Schedule.place b ~node:v ~cb ~pe)
+          t.fallback)
   in
   Schedule.set_length sched
     (max (Timing.required_length sched) (Schedule.rows_needed sched))

@@ -45,6 +45,23 @@
     [client.slow_disconnect], [client.discarded_partial], and the
     engine's [serve.restore]/[serve.deadline_exceeded]. *)
 
+(** Newline framing of a client's byte stream. *)
+module Framing : sig
+  type t
+
+  val create : unit -> t
+
+  val feed : t -> Bytes.t -> int -> int -> string list
+  (** [feed t bytes off len]: the lines that these bytes complete, in
+      order, each without its newline.  Only the new bytes are scanned
+      and a byte is copied at most twice (into the pending tail, then
+      into its line), so a line delivered in any number of chunks costs
+      time linear in its length. *)
+
+  val pending : t -> int
+  (** Bytes of the unterminated tail. *)
+end
+
 type config = {
   socket_path : string;
   capacity : int;  (** schedule-cache bound, entries *)

@@ -1049,6 +1049,83 @@ let test_socket_overload_shedding () =
   | _ -> Alcotest.fail "expected a shutdown ack");
   Unix.close fd
 
+(* {2 Line framing} *)
+
+(* Request lines carrying multi-byte UTF-8 and JSON escapes, so that
+   chunk boundaries land inside both. *)
+let framing_lines =
+  [
+    sched_line ~id:1 "fig7" "ring:4";
+    {|{"id":2,"op":"schedule","graph":"fïg7 ✓ \"q\" \\ é","arch":"ring:4"}|};
+    P.request_to_json ~id:3 P.Stats;
+    {|{"id":4,"op":"schedule","graph":"lms4 😀","arch":"mesh:2x4"}|};
+    {|{"id":5,"op":"sch|};
+  ]
+
+let prop_framing_chunk_invariant =
+  let stream = String.concat "\n" ("" :: framing_lines) ^ "\ntail \xc3" in
+  let n = String.length stream in
+  QCheck.Test.make ~count:300
+    ~name:"framing: any chunking yields the whole-stream lines"
+    QCheck.(list_of_size (Gen.int_range 0 24) (int_range 0 n))
+    (fun cuts ->
+      let bytes = Bytes.of_string stream in
+      let f = Service.Server.Framing.create () in
+      let pos = ref 0 in
+      let lines =
+        List.concat_map
+          (fun cut ->
+            let l = Service.Server.Framing.feed f bytes !pos (cut - !pos) in
+            pos := cut;
+            l)
+          (List.sort_uniq compare cuts @ [ n ])
+      in
+      lines = "" :: framing_lines
+      && Service.Server.Framing.pending f = String.length "tail \xc3")
+
+(* The same requests over the socket, each line written whole or split
+   at seeded random byte boundaries with a pause between pieces (so the
+   daemon reads them separately); one request in flight at a time, on a
+   fresh daemon each, so the reply bytes must match exactly. *)
+let socket_replies ~split =
+  with_server @@ fun path ->
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  let rng = Random.State.make [| 7 |] in
+  let send line =
+    let line = line ^ "\n" in
+    let n = String.length line in
+    let rec go pos =
+      if pos < n then begin
+        let len = if split then 1 + Random.State.int rng 5 else n - pos in
+        let len = min len (n - pos) in
+        ignore (Unix.write_substring fd line pos len);
+        if split then Unix.sleepf 0.001;
+        go (pos + len)
+      end
+    in
+    go 0
+  in
+  let lines =
+    List.filteri (fun i _ -> i < 4) framing_lines
+    @ [ P.request_to_json ~id:9 P.Shutdown ]
+  in
+  let replies =
+    List.map
+      (fun line ->
+        send line;
+        List.hd (read_lines fd 1))
+      lines
+  in
+  Unix.close fd;
+  replies
+
+let test_socket_chunked_delivery () =
+  Alcotest.(check (list string))
+    "chunked delivery, same reply bytes"
+    (socket_replies ~split:false)
+    (socket_replies ~split:true)
+
 (* {2 Client retries} *)
 
 let test_backoff_schedule () =
@@ -1186,6 +1263,9 @@ let () =
             test_socket_trace_identity;
           Alcotest.test_case "overload shedding" `Quick
             test_socket_overload_shedding;
+          Alcotest.test_case "chunked delivery" `Quick
+            test_socket_chunked_delivery;
+          QCheck_alcotest.to_alcotest prop_framing_chunk_invariant;
         ] );
       ( "deadline",
         [
