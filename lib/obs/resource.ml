@@ -13,8 +13,11 @@
 
    [Gc.quick_stat] never walks the heap (unlike [Gc.stat]), so an
    enabled probe costs two stat reads — cheap enough for the span
-   granularity used here (whole passes and runs, not inner loops).  The
-   allocation counters it reads are per-domain in OCaml 5, which is
+   granularity used here (whole passes and runs, not inner loops).
+   Minor words come from [Gc.minor_words] instead: OCaml 5's
+   [quick_stat] counts them only at minor collections, so a span that
+   allocated less than the minor heap read as zero.  The allocation
+   counters read are per-domain in OCaml 5, which is
    exactly the attribution we want: a span records its own domain's
    allocation, and nested spans' deltas sum to at most their parent's
    because the counters are monotone within a domain. *)
@@ -100,7 +103,7 @@ let with_span name f =
     let frame =
       {
         f_name = name;
-        f_minor = q0.Gc.minor_words;
+        f_minor = Gc.minor_words ();
         f_promoted = q0.Gc.promoted_words;
         f_major = q0.Gc.major_words;
         f_minor_cols = q0.Gc.minor_collections;
@@ -111,7 +114,7 @@ let with_span name f =
     in
     s.stack <- frame :: s.stack;
     let close () =
-      let q1 = Gc.quick_stat () in
+      let q1 = Gc.quick_stat () and minor1 = Gc.minor_words () in
       match s.stack with
       | top :: rest when top == frame ->
           s.stack <- rest;
@@ -119,7 +122,7 @@ let with_span name f =
           s.closed <-
             {
               name;
-              minor_words = dw q1.Gc.minor_words frame.f_minor;
+              minor_words = dw minor1 frame.f_minor;
               promoted_words = dw q1.Gc.promoted_words frame.f_promoted;
               major_words = dw q1.Gc.major_words frame.f_major;
               minor_collections =

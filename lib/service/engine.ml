@@ -143,12 +143,27 @@ let record_of_entry key e =
            })
   | Replan_of _, None -> None
 
+(* The shipped workloads that validate, built once per process and only
+   read afterwards: building them was most of an engine's creation cost,
+   which every warm restart pays.  Building is idempotent, so domains
+   racing on the empty memo may both build. *)
+let shipped_suite : (string, Csdfg.t) Hashtbl.t option Atomic.t =
+  Atomic.make None
+
+let suite () =
+  match Atomic.get shipped_suite with
+  | Some s -> s
+  | None ->
+      let s = Hashtbl.create 32 in
+      List.iter
+        (fun (name, g) ->
+          if Result.is_ok (Csdfg.validate g) then Hashtbl.replace s name g)
+        (Workloads.Suite.all ());
+      Atomic.set shipped_suite (Some s);
+      s
+
 let create ?(capacity = 256) ?default_deadline_ms ?state_dir () =
-  let suite = Hashtbl.create 32 in
-  List.iter
-    (fun (name, g) ->
-      if Result.is_ok (Csdfg.validate g) then Hashtbl.replace suite name g)
-    (Workloads.Suite.all ());
+  let suite = suite () in
   let cache = Lru.create ~capacity in
   let statefile =
     match state_dir with
