@@ -23,40 +23,44 @@ let transport_name = function
   | Store_and_forward -> "store-and-forward"
   | Wormhole -> "wormhole"
 
+(* One line of space-separated words.  Built without [Printf]: rendering
+   the graph is most of a cache hit's work, and per-line formatting
+   dominated it. *)
+let add_line buf words =
+  List.iteri
+    (fun i w ->
+      if i > 0 then Buffer.add_char buf ' ';
+      Buffer.add_string buf w)
+    words;
+  Buffer.add_char buf '\n'
+
 let add_graph buf g =
-  Buffer.add_string buf (Printf.sprintf "graph %s\n" (Csdfg.name g));
+  add_line buf [ "graph"; Csdfg.name g ];
   List.iter
     (fun v ->
-      Buffer.add_string buf
-        (Printf.sprintf "node %s %d\n" (Csdfg.label g v) (Csdfg.time g v)))
+      add_line buf [ "node"; Csdfg.label g v; string_of_int (Csdfg.time g v) ])
     (Csdfg.nodes g);
-  let edges =
-    List.map
-      (fun (e : Csdfg.attr G.edge) ->
-        (e.G.src, e.G.dst, Csdfg.delay e, Csdfg.volume e))
-      (Csdfg.edges g)
-    |> List.sort compare
-  in
-  List.iter
-    (fun (s, d, delay, volume) ->
-      Buffer.add_string buf
-        (Printf.sprintf "edge %d %d %d %d\n" s d delay volume))
-    edges
+  List.map
+    (fun (e : Csdfg.attr G.edge) ->
+      (e.G.src, e.G.dst, Csdfg.delay e, Csdfg.volume e))
+    (Csdfg.edges g)
+  |> List.sort compare
+  |> List.iter (fun (s, d, x, v) ->
+         add_line buf ("edge" :: List.map string_of_int [ s; d; x; v ]))
 
 let add_topology buf topo =
-  Buffer.add_string buf
-    (Printf.sprintf "topology %s %d\n" (Topology.name topo)
-       (Topology.n_processors topo));
-  let links =
-    List.map
-      (fun (a, b, w) -> if a <= b then (a, b, w) else (b, a, w))
-      (Topology.weighted_links topo)
-    |> List.sort compare
-  in
-  List.iter
-    (fun (a, b, w) ->
-      Buffer.add_string buf (Printf.sprintf "link %d %d %d\n" a b w))
-    links
+  add_line buf
+    [
+      "topology";
+      Topology.name topo;
+      string_of_int (Topology.n_processors topo);
+    ];
+  List.map
+    (fun (a, b, w) -> if a <= b then (a, b, w) else (b, a, w))
+    (Topology.weighted_links topo)
+  |> List.sort compare
+  |> List.iter (fun (a, b, w) ->
+         add_line buf ("link" :: List.map string_of_int [ a; b; w ]))
 
 let canonical ?speeds ?passes ?(slowdown = 1) ~mode ~transport g topo =
   let buf = Buffer.create 1024 in
