@@ -91,6 +91,29 @@ let test_parallel_compaction_batch () =
     "parallel batch = sequential batch" (List.map run cells)
     (Parutil.Parallel.map ~domains:4 run cells)
 
+(* Worker domains are kept between calls; a call made from inside a task,
+   or from another domain while the pool is busy, spawns its own. *)
+let test_nested_and_concurrent () =
+  let inner x = Parutil.Parallel.map ~domains:3 (fun y -> x * y) [ 1; 2; 3 ] in
+  let expect = List.map (fun x -> List.map (fun y -> x * y) [ 1; 2; 3 ]) in
+  for _ = 1 to 20 do
+    Alcotest.(check (list (list int)))
+      "nested maps" (expect [ 4; 5; 6; 7 ])
+      (Parutil.Parallel.map ~domains:2 inner [ 4; 5; 6; 7 ])
+  done;
+  let other =
+    Domain.spawn (fun () ->
+        List.init 20 (fun _ -> Parutil.Parallel.map ~domains:2 inner [ 8; 9 ]))
+  in
+  for _ = 1 to 20 do
+    Alcotest.(check (list (list int)))
+      "this domain" (expect [ 1; 2; 3 ])
+      (Parutil.Parallel.map ~domains:2 inner [ 1; 2; 3 ])
+  done;
+  List.iter
+    (Alcotest.(check (list (list int))) "other domain" (expect [ 8; 9 ]))
+    (Domain.join other)
+
 let () =
   Alcotest.run "parallel"
     [
@@ -106,5 +129,7 @@ let () =
           Alcotest.test_case "recommended" `Quick test_recommended_positive;
           Alcotest.test_case "compaction batch" `Quick
             test_parallel_compaction_batch;
+          Alcotest.test_case "nested and concurrent" `Quick
+            test_nested_and_concurrent;
         ] );
     ]
