@@ -51,6 +51,50 @@ let test_comm_out_of_range () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* Every constructor's cost against its closed formula, on random
+   processor pairs and volumes (0 included), over topologies with unit
+   and weighted links; [Comm.hops] is the unit-volume cost. *)
+let prop_comm_closed_forms =
+  let topologies =
+    [|
+      Topology.linear_array 8;
+      Topology.mesh ~rows:4 ~cols:4;
+      Topology.hypercube 3;
+      Topology.ring 5;
+      Topology.of_weighted_links ~name:"weighted" ~n:4
+        [ (0, 1, 3); (1, 2, 1); (2, 3, 5); (0, 3, 2) ];
+    |]
+  in
+  QCheck.Test.make ~count:400 ~name:"cost = closed formula per constructor"
+    QCheck.(
+      quad (int_range 0 1_000) (int_range 0 1_000) (int_range 0 1_000)
+        (pair (int_range 0 12) (int_range 0 5)))
+    (fun (t, a, b, (volume, k)) ->
+      let topo = topologies.(t mod Array.length topologies) in
+      let n = Topology.n_processors topo in
+      let src = a mod n and dst = b mod n in
+      let h = Topology.hops topo src dst in
+      let off x = if src = dst then 0 else x in
+      let quadratic p q m = (p + 1) * (q + 2) * m * m in
+      let models =
+        [
+          (Comm.of_topology topo, off (h * volume), off h);
+          (Comm.wormhole topo, off (h + volume - 1), off h);
+          (Comm.scaled topo ~factor:k, off (k * h * volume), off (k * h));
+          (Comm.uniform ~n ~latency:k ~name:"u", off (k * volume), off k);
+          (Comm.zero ~n ~name:"z", 0, 0);
+          ( Comm.custom ~n ~name:"c" quadratic,
+            off (quadratic src dst volume),
+            off (quadratic src dst 1) );
+        ]
+      in
+      List.for_all
+        (fun (c, cost, hops) ->
+          Comm.n_processors c = n
+          && Comm.cost c ~src ~dst ~volume = cost
+          && Comm.hops c ~src ~dst = hops)
+        models)
+
 (* ------------------------------------------------------------------ *)
 (* Schedule basics                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -288,6 +332,7 @@ let () =
           Alcotest.test_case "scaled" `Quick test_comm_scaled;
           Alcotest.test_case "uniform" `Quick test_comm_uniform;
           Alcotest.test_case "out of range" `Quick test_comm_out_of_range;
+          QCheck_alcotest.to_alcotest prop_comm_closed_forms;
         ] );
       ( "table",
         [
