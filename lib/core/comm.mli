@@ -2,7 +2,12 @@
 
     Abstracting over {!Topology.t} lets the same scheduling code run
     communication-obliviously (the classical baselines) or with inflated
-    costs (ablations), while production use plugs in a real topology. *)
+    costs (ablations), while production use plugs in a real topology.
+
+    The built-in models store their cost as affine coefficients over the
+    topology's flat hop table ({!Topology.distance_table}, shared, not
+    copied), so {!cost} is a range check plus one array read; only
+    {!custom} calls a closure. *)
 
 type t
 

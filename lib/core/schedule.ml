@@ -3,6 +3,15 @@ module G = Digraph.Graph
 
 type entry = { cb : int; pe : int }
 
+(* A read-only window on a schedule's own arrays; declared before [t] so
+   [t]'s fields take precedence in the code below. *)
+type view = {
+  start : int array;
+  proc : int array;
+  origin : int;
+  speeds : int array;
+}
+
 (* Placements are dense per-node arrays, copied on write: a published
    schedule is never mutated, so one schedule can be handed to searches
    on several domains.  Rows are stored absolute: row [r] of the table is
@@ -116,6 +125,9 @@ let entry t v =
 let placements t =
   (Array.map (fun a -> a - t.origin) t.start, Array.copy t.proc)
 
+let view t : view =
+  { start = t.start; proc = t.proc; origin = t.origin; speeds = t.speeds }
+
 let assigned_all t = t.n_assigned = n_nodes t
 let n_assigned t = t.n_assigned
 
@@ -187,22 +199,15 @@ let first_free_slot t ~pe ~from ~span:width =
      since earlier nodes end before it starts.  When it overlaps, every
      window before its end + 1 overlaps it too (the window is fixed-
      width), so the scan jumps there and walks [i] forward. *)
-  let rec scan a i =
-    if i < 0 then a
-    else
-      let hi = last_row t row.(i) in
-      if hi < a then a
-      else begin
-        let a = hi + 1 in
-        let i = ref i in
-        while !i + 1 < k && t.start.(row.(!i + 1)) <= a + width - 1 do
-          incr i
-        done;
-        scan a !i
-      end
-  in
-  let a = Int.max 1 from + t.origin in
-  scan a (last_at_or_before t pe (a + width - 1)) - t.origin
+  let a = ref (Int.max 1 from + t.origin) in
+  let i = ref (last_at_or_before t pe (!a + width - 1)) in
+  while !i >= 0 && last_row t row.(!i) >= !a do
+    a := last_row t row.(!i) + 1;
+    while !i + 1 < k && t.start.(row.(!i + 1)) <= !a + width - 1 do
+      incr i
+    done
+  done;
+  !a - t.origin
 
 let first_row t =
   (* Only a processor's first node can start at row 1. *)

@@ -79,6 +79,24 @@ val placements : t -> int array * int array
 (** Fresh copies of every node's [CB] and [PE], indexed by node; [PE] is
     [-1] (and [CB] meaningless) for an unassigned node. *)
 
+(** {2 Read-only views}
+
+    The placement arrays themselves, for loops over every node or edge
+    (the validator, [Timing.required_length]) that would otherwise pay a
+    range check and a call per read, or a copy per call.  They are never
+    mutated once the schedule is published, and callers must not write
+    them. *)
+
+type view = private {
+  start : int array;
+      (** per node: [CB + origin]; meaningless when unassigned *)
+  proc : int array;  (** per node: processor, [-1] when unassigned *)
+  origin : int;  (** [CB v = start.(v) - origin] *)
+  speeds : int array;  (** per processor: cycle-time multiplier *)
+}
+
+val view : t -> view
+
 val cb : t -> int -> int
 (** @raise Invalid_argument when the node is unassigned. *)
 

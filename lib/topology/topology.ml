@@ -4,7 +4,7 @@ type t = {
   links : (int * int * int) list;
       (* canonical: (min, max, latency), sorted, deduped *)
   graph : int Digraph.Graph.t;  (* both directions, labelled with latency *)
-  dist : int array array;  (* all-pairs minimum latency *)
+  dist : int array;  (* all-pairs minimum latency, row-major: [p * n + q] *)
 }
 
 let canonical_links links =
@@ -37,22 +37,22 @@ let of_weighted_links ~name ~n links =
     in
     Digraph.Graph.create ~n edges
   in
-  let dist =
-    Array.init n (fun p ->
-        Digraph.Paths.dijkstra graph ~weight:(fun e -> e.Digraph.Graph.label)
-          ~src:p)
-  in
-  Array.iteri
-    (fun p row ->
-      Array.iteri
-        (fun q d ->
-          if d >= Digraph.Paths.unreachable then
-            invalid_arg
-              (Printf.sprintf
-                 "Topology.of_links (%s): processors %d and %d are disconnected"
-                 name p q))
-        row)
-    dist;
+  let dist = Array.make (n * n) 0 in
+  for p = 0 to n - 1 do
+    let row =
+      Digraph.Paths.dijkstra graph ~weight:(fun e -> e.Digraph.Graph.label)
+        ~src:p
+    in
+    Array.iteri
+      (fun q d ->
+        if d >= Digraph.Paths.unreachable then
+          invalid_arg
+            (Printf.sprintf
+               "Topology.of_links (%s): processors %d and %d are disconnected"
+               name p q);
+        dist.((p * n) + q) <- d)
+      row
+  done;
   { name; n; links; graph; dist }
 
 let of_links ~name ~n links =
@@ -195,7 +195,9 @@ let check_proc t p ctx =
 let hops t p q =
   check_proc t p "hops";
   check_proc t q "hops";
-  t.dist.(p).(q)
+  t.dist.((p * t.n) + q)
+
+let distance_table t = t.dist
 
 let comm_cost t ~src ~dst ~volume =
   if volume < 0 then invalid_arg "Topology.comm_cost: negative volume";
@@ -213,16 +215,13 @@ let route t ~src ~dst =
   | Some p -> p
   | None -> assert false (* topologies are connected by construction *)
 
-let diameter t =
-  Array.fold_left
-    (fun acc row -> Array.fold_left max acc row)
-    0 t.dist
+let diameter t = Array.fold_left max 0 t.dist
 
 let average_distance t =
   if t.n <= 1 then 0.
   else begin
     let total = ref 0 in
-    Array.iter (fun row -> Array.iter (fun d -> total := !total + d) row) t.dist;
+    Array.iter (fun d -> total := !total + d) t.dist;
     float_of_int !total /. float_of_int (t.n * (t.n - 1))
   end
 
@@ -291,15 +290,14 @@ let pp_distance_matrix ppf t =
     |> String.concat " "
   in
   Fmt.pf ppf "@[<v>%s hop distances:@,      %s" t.name header;
-  Array.iteri
-    (fun p row ->
-      let cells =
-        Array.to_list row
-        |> List.map (Printf.sprintf "%-5d")
-        |> String.concat " "
-      in
-      Fmt.pf ppf "@,pe%-3d %s" (p + 1) cells)
-    t.dist;
+  for p = 0 to t.n - 1 do
+    let cells =
+      Array.to_list (Array.sub t.dist (p * t.n) t.n)
+      |> List.map (Printf.sprintf "%-5d")
+      |> String.concat " "
+    in
+    Fmt.pf ppf "@,pe%-3d %s" (p + 1) cells
+  done;
   Fmt.pf ppf "@]"
 
 (* The CLI / RPC architecture spelling ("mesh:2x4", "ring:8", ...).

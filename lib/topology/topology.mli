@@ -81,6 +81,11 @@ val hops : t -> int -> int -> int
     of links for unit-latency topologies, the minimum total latency for
     weighted ones. *)
 
+val distance_table : t -> int array
+(** Every {!hops} value in one row-major array: [hops p q] is at index
+    [p * n_processors + q].  The topology's own table, not a copy, so
+    communication models can share it; it must not be mutated. *)
+
 val comm_cost : t -> src:int -> dst:int -> volume:int -> int
 (** The paper's communication function
     [M(p_src, p_dst) = hops * volume]; 0 when [src = dst]. *)
