@@ -11,7 +11,7 @@ let pp_outcome ppf = function
 
 type trace_entry = {
   pass : int;
-  rotated : string list;
+  rotated : string array;
   length : int;
   outcome : outcome;
 }
@@ -57,9 +57,10 @@ let c_outcome = function
 (* One pass: normalize, pad to the required length, rotate, remap.
    Returns the rotated set J with the result.  [padded] says [sched] is
    already at its required length (every pass result is), so when
-   normalizing moves nothing the padding is not recomputed. *)
+   normalizing moves nothing the padding is not recomputed.  The caller
+   opens the [compaction.pass] span, so the pass's bookkeeping falls
+   under it too. *)
 let run_pass ?scoring ?order ~padded mode sched =
-  Obs.Trace.with_span "compaction.pass" @@ fun () ->
   let normalized = Schedule.normalize sched in
   let sched =
     if padded && normalized == sched then sched
@@ -83,6 +84,7 @@ let run_pass ?scoring ?order ~padded mode sched =
   (rotated, result)
 
 let pass ?scoring ?order mode sched =
+  Obs.Trace.with_span "compaction.pass" @@ fun () ->
   snd (run_pass ?scoring ?order ~padded:false mode sched)
 
 (* Resumable search state.  [drive] below is a thin wrapper that runs a
@@ -134,6 +136,53 @@ let best_schedule st = st.sp_best
 let passes_run st = st.sp_next - 1
 let finished st = st.sp_done
 
+(* One pass of the stepper, validation and bookkeeping included, under
+   one [compaction.pass] span; [true] when the search has converged. *)
+let pass_once st =
+  Obs.Trace.with_span "compaction.pass" @@ fun () ->
+  let i = st.sp_next in
+  let sched = st.sp_sched in
+  let rotated, (next, outcome) =
+    run_pass ?scoring:st.sp_scoring ?order:st.sp_order ~padded:st.sp_padded
+      st.sp_mode sched
+  in
+  if st.sp_validate then
+    Obs.Trace.with_span "compaction.validate" (fun () ->
+        Validator.assert_legal next);
+  Obs.Trace.with_span "compaction.state" @@ fun () ->
+  let rotated = Array.map (Schedule.label sched) (Array.of_list rotated) in
+  Log.debug (fun m ->
+      m "pass %d: rotate {%s} -> length %d (%a)" i
+        (String.concat " " (Array.to_list rotated))
+        (Schedule.length next) pp_outcome outcome);
+  let entry = { pass = i; rotated; length = Schedule.length next; outcome } in
+  if Obs.Journal.enabled () then
+    Obs.Journal.record
+      (Obs.Journal.Pass
+         {
+           pass = i;
+           length = Schedule.length next;
+           outcome = Fmt.str "%a" pp_outcome outcome;
+           binding = Analysis.binding_constraint next;
+         });
+  if Schedule.length next < Schedule.length st.sp_best then st.sp_best <- next;
+  st.sp_sched <- next;
+  st.sp_padded <- true;
+  st.sp_trace <- entry :: st.sp_trace;
+  st.sp_next <- i + 1;
+  (* a state repeats when both the placement and the retimed delays
+     repeat *)
+  let signature = Schedule.state_hash next in
+  if outcome = Stuck || Hashtbl.mem st.sp_seen signature then begin
+    st.sp_converged <- true;
+    st.sp_done <- true;
+    true
+  end
+  else begin
+    Hashtbl.add st.sp_seen signature ();
+    false
+  end
+
 let advance ?should_stop ~passes st =
   let stop_at = st.sp_next + passes - 1 in
   let rec loop () =
@@ -151,48 +200,8 @@ let advance ?should_stop ~passes st =
       `Stopped
     end
     else if st.sp_next > stop_at then `Paused
-    else begin
-      let i = st.sp_next in
-      let sched = st.sp_sched in
-      let rotated, (next, outcome) =
-        run_pass ?scoring:st.sp_scoring ?order:st.sp_order
-          ~padded:st.sp_padded st.sp_mode sched
-      in
-      let rotated = List.map (Schedule.label sched) rotated in
-      if st.sp_validate then Validator.assert_legal next;
-      Log.debug (fun m ->
-          m "pass %d: rotate {%s} -> length %d (%a)" i
-            (String.concat " " rotated)
-            (Schedule.length next) pp_outcome outcome);
-      let entry = { pass = i; rotated; length = Schedule.length next; outcome } in
-      if Obs.Journal.enabled () then
-        Obs.Journal.record
-          (Obs.Journal.Pass
-             {
-               pass = i;
-               length = Schedule.length next;
-               outcome = Fmt.str "%a" pp_outcome outcome;
-               binding = Analysis.binding_constraint next;
-             });
-      if Schedule.length next < Schedule.length st.sp_best then
-        st.sp_best <- next;
-      st.sp_sched <- next;
-      st.sp_padded <- true;
-      st.sp_trace <- entry :: st.sp_trace;
-      st.sp_next <- i + 1;
-      (* a state repeats when both the placement and the retimed delays
-         repeat *)
-      let signature = Schedule.state_hash next in
-      if outcome = Stuck || Hashtbl.mem st.sp_seen signature then begin
-        st.sp_converged <- true;
-        st.sp_done <- true;
-        `Finished
-      end
-      else begin
-        Hashtbl.add st.sp_seen signature ();
-        loop ()
-      end
-    end
+    else if pass_once st then `Finished
+    else loop ()
   in
   loop ()
 
@@ -266,7 +275,7 @@ let pp_trace ppf trace =
   List.iter
     (fun e ->
       Fmt.pf ppf "pass %-3d rotate {%s} -> length %-3d %a@," e.pass
-        (String.concat " " e.rotated)
+        (String.concat " " (Array.to_list e.rotated))
         e.length pp_outcome e.outcome)
     trace;
   Fmt.pf ppf "@]"

@@ -342,7 +342,7 @@ let run_passes g ~seed ~passes ~relax =
       let e = List.nth r.trace (List.length r.trace - 1) in
       let j =
         if e.outcome = Compaction.Stuck then []
-        else List.map (Csdfg.node_of_label g) e.rotated
+        else List.map (Csdfg.node_of_label g) (Array.to_list e.rotated)
       in
       go ((j, r.final) :: acc)
     end

@@ -94,7 +94,7 @@ let trajectory_key (r : Compaction.result) =
       (List.map
          (fun (e : Compaction.trace_entry) ->
            Fmt.str "%d {%s} %d %a" e.pass
-             (String.concat " " e.rotated)
+             (String.concat " " (Array.to_list e.rotated))
              e.length Compaction.pp_outcome e.outcome)
          r.trace)
   in

@@ -511,7 +511,11 @@ let test_golden_trace () =
     (0, "compaction.run") :: (1, "startup.run")
     :: List.concat
          (List.init fig7_mesh2x4_passes (fun _ ->
-              [ (1, "compaction.pass"); (2, "rotation.start") ]))
+              [
+                (1, "compaction.pass");
+                (2, "rotation.start");
+                (2, "compaction.state");
+              ]))
   in
   Alcotest.(check (list (pair int string)))
     "golden span structure" expected (shape spans);
