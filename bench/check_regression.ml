@@ -84,6 +84,8 @@ type scale_cell = {
 type compact_cell = {
   cc_ns_per_pass : float;
   cc_length : int;  (* schedule length after the fixed passes *)
+  cc_best_pass : int option;  (* printed, not gated; absent in older records *)
+  cc_peak_rss : float option;  (* bytes; printed, not gated *)
 }
 
 (* Absolute peak-RSS ceiling per scale cell, in bytes.  Unlike the
@@ -240,6 +242,14 @@ let validate line json =
                      cc_ns_per_pass =
                        field line item "ns_per_pass" Obs.Json.to_num;
                      cc_length = field line item "length" Obs.Json.to_int;
+                     cc_best_pass =
+                       Option.bind
+                         (Obs.Json.member "best_pass" item)
+                         Obs.Json.to_int;
+                     cc_peak_rss =
+                       Option.bind
+                         (Obs.Json.member "peak_rss_bytes" item)
+                         Obs.Json.to_num;
                    } )))
   in
   let calibration =
@@ -491,14 +501,21 @@ let () =
       (* compaction curve: the schedule length after the fixed passes is
          deterministic, so any change against the most recent record
          carrying the cell fails; ns/pass compares same-host, same-quota
-         after calibration, like ns/node. *)
+         after calibration, like ns/node.  The best pass and peak RSS are
+         printed only. *)
       (match candidate.compaction with
       | None -> print_endline "no compaction record; skipping compaction gate"
       | Some cells ->
           List.iter
             (fun (name, c) ->
-              Printf.printf "compaction %s: %.1f ns/pass, length %d\n" name
-                c.cc_ns_per_pass c.cc_length;
+              Printf.printf "compaction %s: %.1f ns/pass, length %d%s%s\n"
+                name c.cc_ns_per_pass c.cc_length
+                (match c.cc_best_pass with
+                | Some p -> Printf.sprintf ", best at pass %d" p
+                | None -> "")
+                (match c.cc_peak_rss with
+                | Some b -> Printf.sprintf ", peak rss %.1f MB" (b /. 1048576.)
+                | None -> "");
               match
                 List.find_map
                   (fun r -> Option.bind r.compaction (List.assoc_opt name))

@@ -220,9 +220,9 @@ let schedule_rows () =
    peak RSS are what the regression gate bounds (same-host tolerance
    and an absolute ceiling respectively) — the early-warning line
    against the sweep or the occupancy index going superlinear again.
-   These cells run first in main so the high-water mark is attributable
-   to this phase rather than to whichever earlier phase grew the heap
-   most. *)
+   These cells run right after the compaction curve, before any phase
+   that grows the heap further, so the high-water mark of the
+   10^5-node cell is attributable to this phase. *)
 type scale_cell = {
   sc_name : string;
   sc_nodes : int;
@@ -286,7 +286,10 @@ let scale_json cells =
    on linear:8 — 10^3 nodes in every run, 10^4 in full runs only.  The
    schedule length after the passes is deterministic, so the regression
    gate fails on any change to it; ns/pass is compared against same-host
-   history after calibration, like ns/node. *)
+   history after calibration, like ns/node.  Each cell also records the
+   pass that first reached its best length and the process RSS
+   high-water mark after it; these cells run first in main, so that mark
+   is theirs.  Neither is gated. *)
 let compact_passes = 32
 
 type compact_cell = {
@@ -296,7 +299,18 @@ type compact_cell = {
   cc_ns_per_pass : float;
   cc_words_per_pass : float;
   cc_length : int;
+  cc_best_pass : int;  (* first pass at the best length; 0 = start-up *)
+  cc_peak_rss : int;  (* bytes, after the passes *)
 }
+
+(* The pass that first reached the best length; 0 when the start-up
+   schedule stayed best. *)
+let best_pass (r : Compaction.result) =
+  let best = Schedule.length r.best in
+  if Schedule.length r.startup = best then 0
+  else
+    (List.find (fun (e : Compaction.trace_entry) -> e.length = best) r.trace)
+      .pass
 
 let compaction_cells ~quick () =
   List.map
@@ -312,13 +326,17 @@ let compaction_cells ~quick () =
       ignore (Compaction.advance ~passes:compact_passes st);
       let dt = Obs.Trace.now_ns () - t0 and dw = words () -. w0 in
       let passes = max 1 (Compaction.passes_run st) in
+      let r = Compaction.stepper_result st in
       {
         cc_name = Csdfg.name g;
         cc_nodes = nodes;
         cc_passes = Compaction.passes_run st;
         cc_ns_per_pass = float_of_int dt /. float_of_int passes;
         cc_words_per_pass = dw /. float_of_int passes;
-        cc_length = Schedule.length (Compaction.stepper_result st).final;
+        cc_length = Schedule.length r.final;
+        cc_best_pass = best_pass r;
+        cc_peak_rss =
+          (Obs.Resource.sample_process ()).Obs.Resource.peak_rss_bytes;
       })
     (if quick then [ 1_000 ] else [ 1_000; 10_000 ])
 
@@ -330,9 +348,10 @@ let compaction_json cells =
            Printf.sprintf
              "{\"name\":\"%s\",\"nodes\":%d,\"topology\":\"linear8\",\
               \"passes\":%d,\"ns_per_pass\":%.1f,\
-              \"alloc_words_per_pass\":%.1f,\"length\":%d}"
+              \"alloc_words_per_pass\":%.1f,\"length\":%d,\
+              \"best_pass\":%d,\"peak_rss_bytes\":%d}"
              (json_escape c.cc_name) c.cc_nodes c.cc_passes c.cc_ns_per_pass
-             c.cc_words_per_pass c.cc_length)
+             c.cc_words_per_pass c.cc_length c.cc_best_pass c.cc_peak_rss)
          cells)
   ^ "]"
 
@@ -881,6 +900,17 @@ let emit_json path ~cal rows scale compact pf_cells svc tel =
 let () =
   let quick = Array.exists (( = ) "--quick") Sys.argv in
   let quota = if quick then 0.05 else 0.5 in
+  let compact = compaction_cells ~quick () in
+  List.iter
+    (fun c ->
+      Fmt.pr
+        "compaction %-16s %6d nodes on linear8  %d passes  %10.1f ns/pass  \
+         %9.1f words/pass  len %d  best at pass %d  peak rss %5.1f MB@."
+        c.cc_name c.cc_nodes c.cc_passes c.cc_ns_per_pass c.cc_words_per_pass
+        c.cc_length c.cc_best_pass
+        (float_of_int c.cc_peak_rss /. 1048576.))
+    compact;
+  Gc.compact ();
   let scale = scale_cells () in
   List.iter
     (fun c ->
@@ -898,16 +928,6 @@ let () =
      heap an order of magnitude larger than the workloads need, reading
      as a uniform ns/run regression.  Return the heap to baseline before
      measuring anything else. *)
-  Gc.compact ();
-  let compact = compaction_cells ~quick () in
-  List.iter
-    (fun c ->
-      Fmt.pr
-        "compaction %-16s %6d nodes on linear8  %d passes  %10.1f ns/pass  \
-         %9.1f words/pass  len %d@."
-        c.cc_name c.cc_nodes c.cc_passes c.cc_ns_per_pass c.cc_words_per_pass
-        c.cc_length)
-    compact;
   Gc.compact ();
   let cal = calibration_ns () in
   Fmt.pr "calibration %d ns (frozen loop, best of 5)@." cal;

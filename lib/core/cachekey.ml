@@ -62,11 +62,22 @@ let add_topology buf topo =
   |> List.iter (fun (a, b, w) ->
          add_line buf ("link" :: List.map string_of_int [ a; b; w ]))
 
-let canonical ?speeds ?passes ?(slowdown = 1) ~mode ~transport g topo =
+let render add x =
   let buf = Buffer.create 1024 in
+  add buf x;
+  Buffer.contents buf
+
+let graph_text = render add_graph
+let topology_text = render add_topology
+
+let canonical_of_texts ?speeds ?passes ?(slowdown = 1) ~mode ~transport
+    ~graph ~topology () =
+  let buf =
+    Buffer.create (String.length graph + String.length topology + 128)
+  in
   Buffer.add_string buf "ccsched-cache/1\n";
-  add_graph buf g;
-  add_topology buf topo;
+  Buffer.add_string buf graph;
+  Buffer.add_string buf topology;
   Buffer.add_string buf
     (Printf.sprintf "transport %s\n" (transport_name transport));
   Buffer.add_string buf
@@ -88,9 +99,20 @@ let canonical ?speeds ?passes ?(slowdown = 1) ~mode ~transport g topo =
   Buffer.add_string buf (Printf.sprintf "slowdown %d\n" slowdown);
   Buffer.contents buf
 
-let digest ?speeds ?passes ?slowdown ~mode ~transport g topo =
+let canonical ?speeds ?passes ?slowdown ~mode ~transport g topo =
+  canonical_of_texts ?speeds ?passes ?slowdown ~mode ~transport
+    ~graph:(graph_text g) ~topology:(topology_text topo) ()
+
+let digest_of_texts ?speeds ?passes ?slowdown ~mode ~transport ~graph
+    ~topology () =
   Digest.to_hex
-    (Digest.string (canonical ?speeds ?passes ?slowdown ~mode ~transport g topo))
+    (Digest.string
+       (canonical_of_texts ?speeds ?passes ?slowdown ~mode ~transport ~graph
+          ~topology ()))
+
+let digest ?speeds ?passes ?slowdown ~mode ~transport g topo =
+  digest_of_texts ?speeds ?passes ?slowdown ~mode ~transport
+    ~graph:(graph_text g) ~topology:(topology_text topo) ()
 
 let replan_canonical ~parent ~failed_pes ~failed_links =
   let buf = Buffer.create 128 in

@@ -53,6 +53,33 @@ val digest :
 (** MD5 of {!canonical}, as 32 lowercase hex characters — the cache key
     and the service's session id. *)
 
+(** {2 Pre-rendered parts}
+
+    The canonical text is the graph's lines, then the machine's, then
+    the knobs'.  A caller that serves the same graph or machine many
+    times (the service's shipped workloads and architectures) renders
+    those parts once; {!digest_of_texts} over them equals {!digest}. *)
+
+val graph_text : Dataflow.Csdfg.t -> string
+(** The graph's lines of {!canonical}. *)
+
+val topology_text : Topology.t -> string
+(** The machine's lines of {!canonical}. *)
+
+val digest_of_texts :
+  ?speeds:int array ->
+  ?passes:int ->
+  ?slowdown:int ->
+  mode:Remap.mode ->
+  transport:transport ->
+  graph:string ->
+  topology:string ->
+  unit ->
+  string
+(** {!digest} from {!graph_text} and {!topology_text}:
+    [digest g topo = digest_of_texts ~graph:(graph_text g)
+    ~topology:(topology_text topo) ()] with the same knobs. *)
+
 val replan_canonical :
   parent:string ->
   failed_pes:int list ->

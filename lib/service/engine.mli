@@ -81,5 +81,16 @@ val set_load : t -> queue_depth:int -> active_clients:int -> unit
 (** Record the server's current load for {!health}; the socket server
     calls this before draining each batch. *)
 
+val request_key :
+  t ->
+  graph:Protocol.graph_spec ->
+  arch:string ->
+  Protocol.knobs ->
+  (string, Protocol.err) result
+(** The cache key a schedule request resolves to, computed as the hit
+    path computes it: shipped workloads' canonical text rendered once
+    per process, recently seen architectures memoised.  Equal to
+    [Cachekey.digest] of the resolved graph and machine. *)
+
 val cache_keys : t -> string list
 (** Cached session keys, most-recently-used first (tests, debugging). *)
