@@ -1,32 +1,15 @@
 (* Cycle time counts the *source* node of each edge once, so summing
    t(src) over a cycle's edges counts every node of the cycle exactly
    once. *)
-let num g e = Csdfg.time g e.Digraph.Graph.src
-let den e = Csdfg.delay e
+let critical g =
+  Digraph.Cycle_ratio.maximum (Csdfg.graph g)
+    ~num:(fun e -> Csdfg.time g e.Digraph.Graph.src)
+    ~den:Csdfg.delay
 
-let exact ?max_cycles g =
-  Digraph.Karp.maximum_cycle_ratio ?max_cycles (Csdfg.graph g) ~num:(num g) ~den
+let exact g = Option.map fst (critical g)
+let exact_ceil g = Option.map (fun (t, d) -> (t + d - 1) / d) (exact g)
 
-let exact_ceil ?max_cycles g =
-  match exact ?max_cycles g with
-  | None -> None
-  | Some (t, d) -> Some ((t + d - 1) / d)
-
-let approx ?epsilon g =
-  Digraph.Karp.maximum_cycle_ratio_float ?epsilon (Csdfg.graph g) ~num:(num g)
-    ~den
-
-let critical_cycles ?max_cycles g =
-  match exact ?max_cycles g with
-  | None -> []
-  | Some (bt, bd) ->
-      let graph = Csdfg.graph g in
-      let attains_bound cyc =
-        (* some combination of parallel edges reaches the bound *)
-        List.exists
-          (fun edges ->
-            let sum f = List.fold_left (fun acc e -> acc + f e) 0 edges in
-            sum (num g) * bd = bt * sum den)
-          (Digraph.Cycles.all_cycle_edges graph cyc)
-      in
-      Digraph.Cycles.elementary ?max_cycles graph |> List.filter attains_bound
+let critical_cycle g =
+  Option.map
+    (fun (_, cycle) -> List.map (fun e -> e.Digraph.Graph.src) cycle)
+    (critical g)

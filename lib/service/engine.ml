@@ -171,9 +171,10 @@ let suite () =
       Atomic.set shipped_suite (Some s);
       s
 
-(* The architecture memo keeps at most this many machines, each of at
-   most [arch_memo_processors] processors (its distance table is
-   quadratic in them); larger machines are resolved per request. *)
+(* The architecture memo keeps at most this many machines.  Requests for
+   machines of more than [arch_memo_processors] processors are refused
+   before their distance table (quadratic in them) is built, so every
+   accepted machine is memoised. *)
 let arch_memo_entries = 32
 let arch_memo_processors = 256
 
@@ -236,6 +237,7 @@ let stats t =
   }
 
 let cache_keys t = Lru.keys t.cache
+let memoised_archs t = Lru.keys t.archs
 
 let set_load t ~queue_depth ~active_clients =
   t.queue_depth <- queue_depth;
@@ -313,12 +315,11 @@ let resolve_arch t arch =
   match Lru.find t.archs arch with
   | Some topo -> Ok topo
   | None -> (
-      match Topology.of_spec arch with
+      match Topology.of_spec ~max_processors:arch_memo_processors arch with
       | Error msg -> Error (err "bad_request" "%s" msg)
       | Ok topo ->
           let r = { value = topo; text = Cachekey.topology_text topo } in
-          if Topology.n_processors topo <= arch_memo_processors then
-            Lru.add t.archs arch r;
+          Lru.add t.archs arch r;
           Ok r)
 
 let resolve t ~graph ~arch (knobs : P.knobs) =

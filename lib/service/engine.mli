@@ -94,3 +94,7 @@ val request_key :
 
 val cache_keys : t -> string list
 (** Cached session keys, most-recently-used first (tests, debugging). *)
+
+val memoised_archs : t -> string list
+(** Memoised architecture spellings, most-recently-used first (tests,
+    debugging). *)

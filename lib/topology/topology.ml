@@ -303,13 +303,21 @@ let pp_distance_matrix ppf t =
 (* The CLI / RPC architecture spelling ("mesh:2x4", "ring:8", ...).
    Lives here rather than in the front end so the one-shot CLI and the
    ccsched-rpc service parse requests with the same code path. *)
-let of_spec spec =
+let of_spec ?(max_processors = max_int) spec =
   let fail () =
     Error
       (Printf.sprintf
          "bad architecture %S; use linear:N ring:N complete:N mesh:RxC \
           torus:RxC hypercube:D star:N tree:N"
          spec)
+  in
+  (* The processor count is known before any table is built. *)
+  let sized n build =
+    if n > max_processors then
+      Error
+        (Printf.sprintf "architecture %S has more than %d processors" spec
+           max_processors)
+    else Ok (build ())
   in
   match String.split_on_char ':' spec with
   | [ kind; dims ] -> (
@@ -321,28 +329,31 @@ let of_spec spec =
             | _ -> None)
         | _ -> None
       in
+      let grid make =
+        match dim2 () with
+        | Some (r, c) ->
+            sized (if r > max_int / c then max_int else r * c) (fun () ->
+                make ~rows:r ~cols:c)
+        | None -> fail ()
+      in
       match kind with
-      | "mesh" -> (
-          match dim2 () with
-          | Some (r, c) -> Ok (mesh ~rows:r ~cols:c)
-          | None -> fail ())
-      | "torus" -> (
-          match dim2 () with
-          | Some (r, c) -> Ok (torus ~rows:r ~cols:c)
-          | None -> fail ())
+      | "mesh" -> grid mesh
+      | "torus" -> grid torus
       | _ -> (
           match int_of_string_opt dims with
           | None -> fail ()
           | Some n -> (
               if n < 1 then fail ()
               else
+                let line make = sized n (fun () -> make n) in
                 match kind with
-                | "linear" -> Ok (linear_array n)
-                | "ring" -> Ok (ring n)
-                | "complete" -> Ok (complete n)
+                | "linear" -> line linear_array
+                | "ring" -> line ring
+                | "complete" -> line complete
                 | "hypercube" | "cube" ->
-                    if n > 16 then fail () else Ok (hypercube n)
-                | "star" -> if n < 2 then fail () else Ok (star n)
-                | "tree" -> Ok (binary_tree n)
+                    if n > 16 then fail ()
+                    else sized (1 lsl n) (fun () -> hypercube n)
+                | "star" -> if n < 2 then fail () else line star
+                | "tree" -> line binary_tree
                 | _ -> fail ())))
   | _ -> fail ()

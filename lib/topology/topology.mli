@@ -120,9 +120,11 @@ val is_isomorphic_layout : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val pp_distance_matrix : Format.formatter -> t -> unit
 
-val of_spec : string -> (t, string) result
+val of_spec : ?max_processors:int -> string -> (t, string) result
 (** Parse the command-line / RPC architecture spelling: [linear:N]
     [ring:N] [complete:N] [mesh:RxC] [torus:RxC] [hypercube:D] [star:N]
     [tree:N].  [Error] carries a usage message listing the accepted
     forms; out-of-range dimensions (a 0-processor ring, a 17-cube) are
-    rejected rather than raised. *)
+    rejected rather than raised.  A machine of more than
+    [max_processors] (default unbounded) is an [Error] too, found
+    before its quadratic distance table is built. *)

@@ -276,11 +276,6 @@ let test_iteration_bound_fig1b () =
       check_bool "bound = 3" true (t = 3 * d);
       check "ceil" 3 (Option.get (Dataflow.Iteration_bound.exact_ceil fig1b))
 
-let test_iteration_bound_approx_agrees () =
-  match Dataflow.Iteration_bound.approx fig1b with
-  | None -> Alcotest.fail "cyclic"
-  | Some r -> Alcotest.(check (float 1e-5)) "approx" 3.0 r
-
 let test_iteration_bound_acyclic () =
   let dag =
     Csdfg.make ~name:"dag" ~nodes:[ ("A", 1); ("B", 1) ]
@@ -289,10 +284,21 @@ let test_iteration_bound_acyclic () =
   check_bool "acyclic -> None" true (Dataflow.Iteration_bound.exact dag = None)
 
 let test_critical_cycles () =
-  let crit = Dataflow.Iteration_bound.critical_cycles fig1b in
-  check "one critical cycle" 1 (List.length crit);
-  let labels = List.map (Csdfg.label fig1b) (List.hd crit) in
-  Alcotest.(check (list string)) "it is E-F" [ "E"; "F" ] labels
+  match Dataflow.Iteration_bound.critical_cycle fig1b with
+  | None -> Alcotest.fail "fig1b is cyclic"
+  | Some cycle ->
+      Alcotest.(check (list string)) "it is E-F" [ "E"; "F" ]
+        (List.map (Csdfg.label fig1b) cycle)
+
+let test_iteration_bound_scale () =
+  (* More elementary cycles than an enumeration can list: its cap made
+     these read 23 and 18. *)
+  List.iter
+    (fun (nodes, want) ->
+      let g = Workloads.Random_gen.layered ~nodes ~seed:1 () in
+      check (Printf.sprintf "layered-%d-1" nodes) want
+        (Option.get (Dataflow.Iteration_bound.exact_ceil g)))
+    [ (400, 48); (1000, 29) ]
 
 (* ------------------------------------------------------------------ *)
 (* Transform                                                            *)
@@ -473,9 +479,9 @@ let () =
       ( "iteration-bound",
         [
           Alcotest.test_case "fig1b" `Quick test_iteration_bound_fig1b;
-          Alcotest.test_case "approx agrees" `Quick test_iteration_bound_approx_agrees;
           Alcotest.test_case "acyclic" `Quick test_iteration_bound_acyclic;
           Alcotest.test_case "critical cycles" `Quick test_critical_cycles;
+          Alcotest.test_case "scale graphs" `Quick test_iteration_bound_scale;
         ] );
       ( "transform",
         [

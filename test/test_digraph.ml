@@ -357,22 +357,19 @@ let test_fold_cycle_weight () =
        ~init:0)
 
 (* ------------------------------------------------------------------ *)
-(* Karp                                                                 *)
+(* Cycle ratio                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let test_mcm_simple () =
-  (* Cycle 0-1 with weights 2 and 4 -> mean 3; self loop at 2 weight 1. *)
-  let g = G.create ~n:3 [ edge 0 1 2; edge 1 0 4; edge 2 2 1 ] in
-  match Digraph.Karp.minimum_cycle_mean g ~weight:(fun e -> e.G.label) with
-  | None -> Alcotest.fail "graph has cycles"
-  | Some m -> Alcotest.(check (float 1e-9)) "min mean is the self loop" 1.0 m
+let max_ratio g =
+  Digraph.Cycle_ratio.maximum g
+    ~num:(fun e -> fst e.G.label)
+    ~den:(fun e -> snd e.G.label)
 
-let test_mcm_acyclic () =
+let srcs cycle = List.map (fun e -> e.G.src) cycle
+
+let test_max_ratio_acyclic () =
   check_bool "acyclic -> None" true
-    (Digraph.Karp.minimum_cycle_mean
-       (G.map_labels (fun _ -> 1) (diamond ()))
-       ~weight:(fun e -> e.G.label)
-    = None)
+    (max_ratio (G.map_labels (fun _ -> (1, 1)) (diamond ())) = None)
 
 let test_max_ratio () =
   (* Two cycles: ratio 5/1 and 4/2. *)
@@ -383,13 +380,11 @@ let test_max_ratio () =
         edge 2 3 (4, 1); edge 3 2 (0, 1);
       ]
   in
-  match
-    Digraph.Karp.maximum_cycle_ratio g
-      ~num:(fun e -> fst e.G.label)
-      ~den:(fun e -> snd e.G.label)
-  with
+  match max_ratio g with
   | None -> Alcotest.fail "has cycles"
-  | Some (t, d) -> check_bool "ratio 5" true (t = 5 * d)
+  | Some ((t, d), cycle) ->
+      check_bool "ratio 5" true (t = 5 * d);
+      check_list_int "the 0-1 loop" [ 0; 1 ] (srcs cycle)
 
 let test_max_ratio_parallel_edges () =
   (* Regression: two parallel back-edges with different denominators give
@@ -398,13 +393,12 @@ let test_max_ratio_parallel_edges () =
   let g =
     G.create ~n:2 [ edge 0 1 (5, 0); edge 1 0 (0, 2); edge 1 0 (0, 1) ]
   in
-  (match
-     Digraph.Karp.maximum_cycle_ratio g
-       ~num:(fun e -> fst e.G.label)
-       ~den:(fun e -> snd e.G.label)
-   with
+  (match max_ratio g with
   | None -> Alcotest.fail "has cycles"
-  | Some (t, d) -> check_bool "picks the 1-delay variant" true (t = 5 * d));
+  | Some ((t, d), cycle) ->
+      check_bool "picks the 1-delay variant" true (t = 5 * d);
+      check_bool "through the 1-delay edge" true
+        (List.exists (fun e -> e.G.label = (0, 1)) cycle));
   check "variants enumerated" 2
     (List.length (Digraph.Cycles.all_cycle_edges g [ 0; 1 ]))
 
@@ -417,21 +411,56 @@ let test_all_cycle_edges_cap () =
   check "capped" 4
     (List.length (Digraph.Cycles.all_cycle_edges ~max_variants:4 g [ 0; 1 ]))
 
-let test_max_ratio_float_agrees () =
+let test_max_ratio_forward_rotated () =
+  (* The cycle 3 -> 1 -> 4 -> 2 -> 3 comes back in edge order from node 1,
+     however its edges were inserted. *)
   let g =
-    G.create ~n:4
-      [
-        edge 0 1 (5, 1); edge 1 0 (0, 0);
-        edge 2 3 (4, 1); edge 3 2 (0, 1);
-      ]
+    G.create ~n:5
+      [ edge 2 3 (1, 1); edge 4 2 (1, 0); edge 3 1 (1, 0); edge 1 4 (1, 0) ]
   in
-  match
-    Digraph.Karp.maximum_cycle_ratio_float g
-      ~num:(fun e -> fst e.G.label)
-      ~den:(fun e -> snd e.G.label)
-  with
+  match max_ratio g with
   | None -> Alcotest.fail "has cycles"
-  | Some r -> Alcotest.(check (float 1e-5)) "approx 5" 5.0 r
+  | Some ((t, d), cycle) ->
+      check "T" 4 t;
+      check "D" 1 d;
+      check_list_int "forward from the smallest node" [ 1; 4; 2; 3 ]
+        (srcs cycle);
+      check_list_int "closed" [ 4; 2; 3; 1 ]
+        (List.map (fun e -> e.G.dst) cycle)
+
+let test_max_ratio_bad_denominators () =
+  let raises g =
+    match max_ratio g with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  check_bool "zero-delay cycle" true
+    (raises (G.create ~n:2 [ edge 0 1 (1, 0); edge 1 0 (1, 0) ]));
+  check_bool "zero-delay self loop" true
+    (raises (G.create ~n:1 [ edge 0 0 (1, 0) ]));
+  check_bool "zero-sum cycle with non-positive numerators" true
+    (raises (G.create ~n:2 [ edge 0 1 (0, 0); edge 1 0 (-1, 0); edge 0 0 (1, 1) ]));
+  check_bool "negative denominator" true
+    (raises (G.create ~n:2 [ edge 0 1 (1, -1); edge 1 0 (1, 3) ]))
+
+let test_max_ratio_large_weights () =
+  (* 10^12-step nodes on a 20-node ring with a chord: exact, no overflow. *)
+  let big = 1_000_000_000_000 in
+  let ring =
+    List.init 20 (fun i -> edge i ((i + 1) mod 20) (big + i, if i = 19 then 3 else 0))
+  in
+  let g = G.create ~n:20 (edge 9 0 (big + 9, 1) :: ring) in
+  (match max_ratio g with
+  | None -> Alcotest.fail "has cycles"
+  | Some ((t, d), cycle) ->
+      check "T of the chorded loop" ((10 * big) + 45) t;
+      check "D of the chorded loop" 1 d;
+      check "ten nodes" 10 (List.length cycle));
+  (* Past the documented bound the engine refuses rather than wraps. *)
+  check_bool "huge weights rejected" true
+    (match max_ratio (G.create ~n:2 [ edge 0 1 (max_int / 4, 1); edge 1 0 (1, 1) ]) with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Dot                                                                  *)
@@ -478,46 +507,50 @@ let test_bellman_ford_unreachable () =
   | None -> Alcotest.fail "no negative cycle"
   | Some d -> check "unreachable sentinel" Digraph.Paths.unreachable d.(2)
 
-let test_karp_multigraph_self_loops () =
-  (* two parallel self-loops: min mean is the cheaper one *)
-  let g = G.create ~n:1 [ edge 0 0 7; edge 0 0 3 ] in
-  match Digraph.Karp.minimum_cycle_mean g ~weight:(fun e -> e.G.label) with
+let test_max_ratio_parallel_self_loops () =
+  (* two parallel self-loops: the maximum ratio is the heavier one *)
+  let g = G.create ~n:1 [ edge 0 0 (7, 2); edge 0 0 (3, 1) ] in
+  match max_ratio g with
   | None -> Alcotest.fail "has cycles"
-  | Some m -> Alcotest.(check (float 1e-9)) "cheaper loop" 3.0 m
+  | Some ((t, d), cycle) ->
+      check_bool "heavier loop" true (t * 2 = 7 * d);
+      check "one edge" 1 (List.length cycle)
 
-let test_mcm_matches_bruteforce =
-  (* Karp vs explicit enumeration over all elementary circuits. *)
+let test_max_ratio_matches_enumeration =
+  (* The engine against the enumeration oracle on random multigraphs with
+     self-loops, parallel edges, negative numerators and zero delays. *)
   QCheck_alcotest.to_alcotest ~long:false
-    (QCheck.Test.make ~count:80 ~name:"Karp MCM = brute-force minimum"
-       (QCheck.int_range 0 5_000)
+    (QCheck.Test.make ~count:300 ~name:"max cycle ratio = enumeration"
+       (QCheck.int_range 0 100_000)
        (fun seed ->
-         let rng = Random.State.make [| seed; 0xca49 |] in
-         let n = 3 + Random.State.int rng 4 in
+         let rng = Random.State.make [| seed; 0x7a71 |] in
+         let n = 1 + Random.State.int rng 7 in
          let edges =
-           List.concat
-             (List.init n (fun a ->
-                  List.concat
-                    (List.init n (fun b ->
-                         if a <> b && Random.State.float rng 1.0 < 0.4 then
-                           [ edge a b (Random.State.int rng 9 - 2) ]
-                         else []))))
+           List.init (Random.State.int rng (3 * n)) (fun _ ->
+               edge (Random.State.int rng n) (Random.State.int rng n)
+                 (Random.State.int rng 12 - 2, Random.State.int rng 4))
          in
          let g = G.create ~n edges in
-         let weight e = e.G.label in
-         let brute =
-           Digraph.Cycles.elementary ~max_cycles:5_000 g
-           |> List.concat_map (fun cyc -> Digraph.Cycles.all_cycle_edges g cyc)
-           |> List.map (fun es ->
-                  let total =
-                    List.fold_left (fun acc e -> acc + weight e) 0 es
-                  in
-                  float_of_int total /. float_of_int (List.length es))
-         in
-         match (Digraph.Karp.minimum_cycle_mean g ~weight, brute) with
-         | None, [] -> true
-         | Some m, (_ :: _ as means) ->
-             Float.abs (m -. List.fold_left min (List.hd means) means) < 1e-9
-         | Some _, [] | None, _ :: _ -> false))
+         let num e = fst e.G.label and den e = snd e.G.label in
+         match Ratio_oracle.maximum g ~num ~den with
+         | exception Invalid_argument _ -> (
+             match max_ratio g with
+             | exception Invalid_argument _ -> true
+             | _ -> false)
+         | None -> QCheck.assume_fail ()
+         | Some None -> max_ratio g = None
+         | Some (Some (t, d)) -> (
+             match max_ratio g with
+             | Some ((t', d'), cycle) ->
+                 t * d' = t' * d
+                 && Ratio_oracle.sum num cycle = t'
+                 && Ratio_oracle.sum den cycle = d'
+                 && Ratio_oracle.is_rotated_cycle (srcs cycle)
+                 && List.for_all2
+                      (fun e e' -> e.G.dst = e'.G.src)
+                      cycle
+                      (List.tl cycle @ [ List.hd cycle ])
+             | None -> false)))
 
 let () =
   Alcotest.run "digraph"
@@ -592,14 +625,18 @@ let () =
         ] );
       ( "karp",
         [
-          Alcotest.test_case "min cycle mean" `Quick test_mcm_simple;
-          Alcotest.test_case "acyclic" `Quick test_mcm_acyclic;
+          Alcotest.test_case "acyclic" `Quick test_max_ratio_acyclic;
           Alcotest.test_case "max ratio exact" `Quick test_max_ratio;
           Alcotest.test_case "max ratio parallel edges" `Quick
             test_max_ratio_parallel_edges;
           Alcotest.test_case "cycle edge variants cap" `Quick
             test_all_cycle_edges_cap;
-          Alcotest.test_case "max ratio float" `Quick test_max_ratio_float_agrees;
+          Alcotest.test_case "max ratio forward rotated" `Quick
+            test_max_ratio_forward_rotated;
+          Alcotest.test_case "max ratio bad denominators" `Quick
+            test_max_ratio_bad_denominators;
+          Alcotest.test_case "max ratio large weights" `Quick
+            test_max_ratio_large_weights;
         ] );
       ( "dot",
         [
@@ -614,7 +651,7 @@ let () =
           Alcotest.test_case "bellman-ford unreachable" `Quick
             test_bellman_ford_unreachable;
           Alcotest.test_case "karp parallel self loops" `Quick
-            test_karp_multigraph_self_loops;
-          test_mcm_matches_bruteforce;
+            test_max_ratio_parallel_self_loops;
+          test_max_ratio_matches_enumeration;
         ] );
     ]

@@ -89,17 +89,40 @@ let prop_min_period_witness =
       Retiming.is_legal g r
       && Retiming.clock_period (Retiming.apply g r) <= period)
 
-let prop_iteration_bound_methods_agree =
-  QCheck.Test.make ~count:60 ~name:"exact and float iteration bounds agree"
+let prop_iteration_bound_matches_enumeration =
+  (* Graphs of 4..40 nodes; those with more circuits than the oracle
+     lists are skipped. *)
+  QCheck.Test.make ~count:150 ~name:"iteration bound = enumeration"
     seed_arb (fun seed ->
-      let g = graph_of_seed seed in
-      match
-        (Dataflow.Iteration_bound.exact g, Dataflow.Iteration_bound.approx g)
-      with
-      | None, None -> true
-      | Some (t, d), Some approx ->
-          Float.abs (approx -. (float_of_int t /. float_of_int d)) < 1e-4
-      | _ -> false)
+      let params =
+        {
+          small_params with
+          nodes = 4 + (seed mod 37);
+          feedback_edges = 1 + (seed mod 5);
+        }
+      in
+      let g = graph_of_seed ~params seed in
+      let graph = Csdfg.graph g in
+      let num e = Csdfg.time g e.Digraph.Graph.src in
+      let attains (t, d) cycle =
+        Ratio_oracle.is_rotated_cycle cycle
+        && List.exists
+             (fun edges ->
+               Ratio_oracle.sum num edges * d = t * Ratio_oracle.sum Csdfg.delay edges)
+             (Digraph.Cycles.all_cycle_edges graph cycle)
+      in
+      match Ratio_oracle.maximum graph ~num ~den:Csdfg.delay with
+      | None -> QCheck.assume_fail ()
+      | Some want -> (
+          match
+            ( want,
+              Dataflow.Iteration_bound.exact g,
+              Dataflow.Iteration_bound.critical_cycle g )
+          with
+          | None, None, None -> true
+          | Some (t, d), Some (t', d'), Some cycle ->
+              t * d' = t' * d && attains (t, d) cycle
+          | _ -> false))
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling properties                                                *)
@@ -384,7 +407,7 @@ let () =
           prop_rotation_preserves_cycle_delays;
           prop_rotation_keeps_legality;
           prop_min_period_witness;
-          prop_iteration_bound_methods_agree;
+          prop_iteration_bound_matches_enumeration;
         ];
       suite "scheduling"
         [

@@ -209,6 +209,27 @@ let test_prerendered_keys_match_digest () =
     ];
   Engine.close e
 
+(* Machines above the memo's processor ceiling are refused before their
+   distance table is built, and leave the memo untouched. *)
+let test_machine_size_ceiling () =
+  let e = Engine.create () in
+  List.iter
+    (fun arch ->
+      match
+        Engine.request_key e ~graph:(P.Workload "fig7") ~arch P.default_knobs
+      with
+      | Ok _ -> Alcotest.failf "%s accepted" arch
+      | Error err -> check_str (arch ^ " code") "bad_request" err.P.code)
+    [ "linear:2000"; "mesh:100x100"; "mesh:3000000000x3000000000" ];
+  check "memo empty" 0 (List.length (Engine.memoised_archs e));
+  ignore
+    (Result.get_ok
+       (Engine.request_key e ~graph:(P.Workload "fig7") ~arch:"mesh:16x16"
+          P.default_knobs));
+  Alcotest.(check (list string)) "256 processors memoised" [ "mesh:16x16" ]
+    (Engine.memoised_archs e);
+  Engine.close e
+
 let test_replan_digest_chains () =
   let d1 = Cachekey.replan_digest ~parent:"p" ~failed_pes:[ 3 ] ~failed_links:[] in
   let d1' =
@@ -1296,6 +1317,8 @@ let () =
             test_replan_digest_chains;
           Alcotest.test_case "pre-rendered keys = digest" `Quick
             test_prerendered_keys_match_digest;
+          Alcotest.test_case "machine size ceiling" `Quick
+            test_machine_size_ceiling;
         ] );
       ( "replan",
         [
