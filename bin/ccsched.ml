@@ -42,7 +42,7 @@ let parse_scale_spec spec =
       | _ -> die 2 (Printf.sprintf "bad scale spec %S" spec))
   | _ -> None
 
-let load_graph spec =
+let read_graph spec =
   match parse_scale_spec spec with
   | Some g -> g
   | None ->
@@ -58,6 +58,19 @@ let load_graph spec =
           (Printf.sprintf
              "unknown workload %S (try `ccsched list` or a .csdfg file path)"
              spec)
+
+(* A graph with a zero-delay cycle has no schedule and no iteration
+   bound, so every command but [show] refuses it as malformed input. *)
+let load_graph spec =
+  let g = read_graph spec in
+  match Dataflow.Csdfg.validate g with
+  | Ok () -> g
+  | Error problems ->
+      List.iter
+        (fun p ->
+          Fmt.epr "ccsched: %s: %a@." spec (Dataflow.Csdfg.pp_violation g) p)
+        problems;
+      exit 3
 
 let load_scenario path =
   match Machine.Faults.read_file ~path with
@@ -195,8 +208,8 @@ let with_observability ~profile ~metrics run =
   end;
   result
 
-let prepared spec slowdown =
-  let g = load_graph spec in
+let prepared ?(load = load_graph) spec slowdown =
+  let g = load spec in
   if slowdown > 1 then Dataflow.Transform.slowdown g slowdown else g
 
 (* ------------------------------------------------------------------ *)
@@ -217,7 +230,7 @@ let list_cmd =
 
 let show_cmd =
   let run spec slowdown =
-    let g = prepared spec slowdown in
+    let g = prepared ~load:read_graph spec slowdown in
     Fmt.pr "%a@.@." Dataflow.Csdfg.pp g;
     (match Dataflow.Csdfg.validate g with
     | Ok () -> Fmt.pr "legality: ok@."
@@ -225,7 +238,8 @@ let show_cmd =
         Fmt.pr "legality problems:@.";
         List.iter
           (fun p -> Fmt.pr "  %a@." (Dataflow.Csdfg.pp_violation g) p)
-          problems);
+          problems;
+        die 3 (spec ^ ": illegal CSDFG, no bounds"));
     (match Dataflow.Iteration_bound.exact_ceil g with
     | Some b -> Fmt.pr "iteration bound: %d@." b
     | None -> Fmt.pr "iteration bound: none (acyclic)@.");

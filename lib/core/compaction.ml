@@ -100,7 +100,7 @@ type stepper = {
   sp_budget : int;
   sp_validate : bool;
   sp_startup : Schedule.t;
-  sp_seen : (int, unit) Hashtbl.t;
+  sp_seen : (int * int, unit) Hashtbl.t;
   mutable sp_sched : Schedule.t;
   mutable sp_padded : bool;  (* sp_sched is at its required length *)
   mutable sp_best : Schedule.t;
@@ -112,8 +112,8 @@ type stepper = {
 
 let stepper ?(mode = Remap.With_relaxation) ?scoring ?order ~budget
     ?(validate = true) startup =
-  let seen : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.add seen (Schedule.state_hash startup) ();
+  let seen : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
+  Hashtbl.add seen (Schedule.state_key startup) ();
   {
     sp_mode = mode;
     sp_scoring = scoring;
@@ -172,14 +172,14 @@ let pass_once st =
   st.sp_next <- i + 1;
   (* a state repeats when both the placement and the retimed delays
      repeat *)
-  let signature = Schedule.state_hash next in
-  if outcome = Stuck || Hashtbl.mem st.sp_seen signature then begin
+  let key = Schedule.state_key next in
+  if outcome = Stuck || Hashtbl.mem st.sp_seen key then begin
     st.sp_converged <- true;
     st.sp_done <- true;
     true
   end
   else begin
-    Hashtbl.add st.sp_seen signature ();
+    Hashtbl.add st.sp_seen key ();
     false
   end
 

@@ -406,25 +406,43 @@ let signature t =
    [compare_assignments]. *)
 let mix h x = (h lxor x) * 0x100000001b3
 
-let hash_raw t =
+let hash t =
   let h = ref (mix 0x2545f4914f6cdd1d t.length) in
   for v = 0 to n_nodes t - 1 do
     if t.proc.(v) < 0 then h := mix !h (-1)
     else h := mix (mix !h (t.start.(v) - t.origin)) t.proc.(v)
   done;
-  !h
-
-let hash t = hash_raw t land max_int
-
-(* Two lag vectors give the same retimed delays exactly when they differ
-   by a constant on each weakly-connected component, so each node's lag
-   is taken relative to its component's root. *)
-let state_hash t =
-  let h = ref (hash_raw t) in
-  for v = 0 to n_nodes t - 1 do
-    h := mix !h (t.lag.(v) - t.lag.(t.adj.root.(v)))
-  done;
   !h land max_int
+
+(* The repeated-state key: two independent 63-bit lanes, each a sum
+   over nodes of a fully mixed per-node term.  A term covers the node's
+   placement and its lag relative to its component's root (two lag
+   vectors give the same retimed delays exactly when they differ by a
+   constant on each weakly-connected component).  Mixing every term on
+   its own keeps one node's change from cancelling another's, which a
+   sequential fold of raw differences allows; summing keeps the key
+   linear, so it could be kept up to date node by node. *)
+let[@inline] avalanche x =
+  let x = (x lxor (x lsr 31)) * 0x3f58476d1ce4e5b9 in
+  let x = (x lxor (x lsr 27)) * 0x14d049bb133111eb in
+  x lxor (x lsr 31)
+
+(* The two words are injective in (v, start) and (pe, lag) while each
+   field stays below 2^31. *)
+let[@inline] node_term seed v start pe lag =
+  avalanche (avalanche (seed + (v lsl 32) + start) + (pe lsl 32) + lag)
+
+let state_key t =
+  let a = ref (avalanche (t.length + 0x1e3779b97f4a7c15))
+  and b = ref (avalanche (t.length + 0x2545f4914f6cdd1d)) in
+  for v = 0 to n_nodes t - 1 do
+    let pe = t.proc.(v) in
+    let start = if pe < 0 then 0 else t.start.(v) - t.origin in
+    let lag = t.lag.(v) - t.lag.(t.adj.root.(v)) in
+    a := !a + node_term 0x0a0761d6478bd642 v start pe lag;
+    b := !b + node_term 0x27d4eb2f165667c5 v start pe lag
+  done;
+  (!a, !b)
 
 let pp ppf t =
   let np = n_processors t in

@@ -197,12 +197,13 @@ val hash : t -> int
     {!compare_assignments} = 0 (the converse holds only up to hash
     collisions). *)
 
-val state_hash : t -> int
-(** {!hash} extended with the retimed delays: equal whenever the
-    assignments and every retimed delay are equal.  The delays are
-    hashed as the lag of each node relative to its weakly-connected
-    component's least node, which determines them; O(V), no edge walk.
-    Compaction's repeated-state test. *)
+val state_key : t -> int * int
+(** Compaction's repeated-state key, two independent 63-bit lanes: equal
+    whenever the assignments and every retimed delay are equal, and
+    unequal otherwise up to a 2{^-126} chance.  The delays enter as the
+    lag of each node relative to its weakly-connected component's least
+    node, which determines them; each node's term is mixed on its own
+    before the lanes sum them.  O(V), no edge walk. *)
 
 val pp : Format.formatter -> t -> unit
 (** Paper-style table: one row per control step, one column per

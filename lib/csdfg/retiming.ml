@@ -26,7 +26,10 @@ let apply g r =
     ~time:(Array.init (Csdfg.n_nodes g) (Csdfg.time g))
     graph
 
-let rotation_of_set g set =
+(* With [retimed_delay e = d + r(src) - r(dst)], setting r(v) = 1 for
+   v in the set subtracts one delay from each incoming edge and adds one
+   to each outgoing edge — exactly the paper's rotation. *)
+let rotation_retiming g set =
   let r = identity g in
   List.iter
     (fun v ->
@@ -35,11 +38,6 @@ let rotation_of_set g set =
       r.(v) <- 1)
     set;
   r
-
-(* With [retimed_delay e = d + r(src) - r(dst)], setting r(v) = 1 for
-   v in the set subtracts one delay from each incoming edge and adds one
-   to each outgoing edge — exactly the paper's rotation. *)
-let rotation_retiming = rotation_of_set
 
 let can_rotate g set = is_legal g (rotation_retiming g set)
 
@@ -125,105 +123,101 @@ let infer ~original ~retimed =
     end
   end
 
-let clock_period g =
-  (match Csdfg.validate g with
+let require_legal fn g =
+  match Csdfg.validate g with
   | Ok () -> ()
-  | Error _ -> invalid_arg "Retiming.clock_period: illegal CSDFG");
+  | Error _ -> invalid_arg (fn ^ ": illegal CSDFG")
+
+let clock_period g =
+  require_legal "Retiming.clock_period" g;
   Digraph.Topo.longest_path_nodes (Csdfg.zero_delay_graph g)
     ~weight:(Csdfg.time g)
 
-(* W and D via Floyd-Warshall on lexicographic weights (delay, -time).
-   For an edge u -> v the weight is (d(e), -t(u)); the path sum of the
-   second component is -(time of path excluding the final node), so
-   D(u,v) = t(v) - snd. *)
-let wd_matrices g =
+(* Leiserson and Saxe's FEAS.  Each round takes the latest zero-delay
+   arrival of every node (its own time included) on the graph retimed by
+   [r], and lowers [r v] wherever that exceeds the period, which puts one
+   more delay on each edge into [v].  A zero-delay successor of such a
+   node arrives later still and is lowered with it, so no edge goes
+   negative.  When some legal retiming meets the period, |V| - 1 rounds
+   find one; the |V|-th arrival pass only checks. *)
+let feas g ~period =
   let n = Csdfg.n_nodes g in
-  let unreachable = Digraph.Paths.unreachable in
-  let wd = Array.make_matrix n n (unreachable, 0) in
-  for v = 0 to n - 1 do
-    wd.(v).(v) <- (0, 0)
-  done;
-  List.iter
-    (fun e ->
-      let u = e.G.src and v = e.G.dst in
-      let cand = (Csdfg.delay e, -Csdfg.time g u) in
-      if u <> v && cand < wd.(u).(v) then wd.(u).(v) <- cand)
-    (Csdfg.edges g);
-  for k = 0 to n - 1 do
-    for i = 0 to n - 1 do
-      let dik, tik = wd.(i).(k) in
-      if dik < unreachable then
-        for j = 0 to n - 1 do
-          let dkj, tkj = wd.(k).(j) in
-          if dkj < unreachable then begin
-            let cand = (dik + dkj, tik + tkj) in
-            if cand < wd.(i).(j) then wd.(i).(j) <- cand
-          end
-        done
-    done
-  done;
-  let w = Array.make_matrix n n unreachable in
-  let d = Array.make_matrix n n 0 in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      let wij, negt = wd.(i).(j) in
-      if wij < unreachable then begin
-        w.(i).(j) <- wij;
-        d.(i).(j) <- Csdfg.time g j - negt
-      end
-    done
-  done;
-  (w, d)
-
-(* Difference constraints: r(v) - r(u) <= d(e) for every edge (legality),
-   and r(v) - r(u) <= W(u,v) - 1 whenever D(u,v) > period.  Solved as
-   shortest paths from a virtual source (Bellman-Ford potentials). *)
-let feasible g ~period =
-  let n = Csdfg.n_nodes g in
-  let w, d = wd_matrices g in
-  let unreachable = Digraph.Paths.unreachable in
-  let constraints = ref [] in
-  List.iter
-    (fun e ->
-      constraints :=
-        { G.src = e.G.src; dst = e.G.dst; label = Csdfg.delay e } :: !constraints)
-    (Csdfg.edges g);
-  for u = 0 to n - 1 do
+  let time = Array.init n (Csdfg.time g) in
+  let out = Array.init n (fun v -> Array.of_list (Csdfg.succ g v)) in
+  let r = identity g in
+  let arrival = Array.make n 0 and pending = Array.make n 0 in
+  let queue = Array.make n 0 in
+  let zero_delay e = retimed_delay r e = 0 in
+  (* Kahn's order over the zero-delay edges; a legal graph has no
+     zero-delay cycle under any legal retiming. *)
+  let arrivals () =
+    Array.fill arrival 0 n 0;
+    Array.fill pending 0 n 0;
+    Array.iter
+      (Array.iter (fun e ->
+           if zero_delay e then pending.(e.G.dst) <- pending.(e.G.dst) + 1))
+      out;
+    let tail = ref 0 in
     for v = 0 to n - 1 do
-      if w.(u).(v) < unreachable && d.(u).(v) > period then
-        constraints := { G.src = u; dst = v; label = w.(u).(v) - 1 } :: !constraints
-    done
-  done;
-  let cg = G.create ~n !constraints in
-  match Digraph.Paths.feasible_potentials cg ~weight:(fun e -> e.G.label) with
-  | None -> None
-  | Some p -> Some p
-
-let min_period g =
-  let n = Csdfg.n_nodes g in
-  let _, d = wd_matrices g in
-  let candidates =
-    let acc = ref [] in
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        acc := d.(i).(j) :: !acc
-      done
+      if pending.(v) = 0 then begin
+        queue.(!tail) <- v;
+        incr tail
+      end
     done;
-    List.sort_uniq compare (List.filter (fun x -> x > 0) !acc)
+    for head = 0 to n - 1 do
+      let v = queue.(head) in
+      arrival.(v) <- arrival.(v) + time.(v);
+      Array.iter
+        (fun e ->
+          if zero_delay e then begin
+            let w = e.G.dst in
+            arrival.(w) <- max arrival.(w) arrival.(v);
+            pending.(w) <- pending.(w) - 1;
+            if pending.(w) = 0 then begin
+              queue.(!tail) <- w;
+              incr tail
+            end
+          end)
+        out.(v)
+    done
   in
-  let arr = Array.of_list candidates in
-  (* Binary search the smallest feasible candidate period. *)
-  let rec search lo hi best =
-    if lo > hi then best
+  let rec round k =
+    arrivals ();
+    if Array.for_all (fun a -> a <= period) arrival then Some (normalize r)
+    else if k >= n then None
     else begin
-      let mid = (lo + hi) / 2 in
-      match feasible g ~period:arr.(mid) with
-      | Some r -> search lo (mid - 1) (Some (arr.(mid), r))
-      | None -> search (mid + 1) hi best
+      Array.iteri (fun v a -> if a > period then r.(v) <- r.(v) - 1) arrival;
+      round (k + 1)
     end
   in
-  match search 0 (Array.length arr - 1) None with
-  | Some result -> result
-  | None ->
-      (* Every graph is feasible at its own current period. *)
-      (clock_period g, identity g)
+  if n > 0 && period < Csdfg.max_time g then None else round 1
+
+let feasible g ~period =
+  require_legal "Retiming.feasible" g;
+  feas g ~period
+
+(* Both [max_time] and the ceiling of the iteration bound are lower
+   bounds on any retimed period: a cycle's D delays cut it into at most
+   D zero-delay paths sharing its total time.  The probe at their
+   maximum settles most graphs; otherwise binary-search the integers
+   above it, where the current period is feasible with no retiming. *)
+let min_period g =
+  let hi = clock_period g in
+  let lo =
+    max (Csdfg.max_time g)
+      (Option.value ~default:0 (Iteration_bound.exact_ceil g))
+  in
+  if hi <= lo then (hi, identity g)
+  else
+    match feas g ~period:lo with
+    | Some r -> (lo, r)
+    | None ->
+        let rec search lo hi best =
+          if hi - lo <= 1 then (hi, best)
+          else
+            let mid = lo + ((hi - lo) / 2) in
+            match feas g ~period:mid with
+            | Some r -> search lo mid r
+            | None -> search mid hi best
+        in
+        search lo hi (identity g)

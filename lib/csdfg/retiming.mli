@@ -44,25 +44,30 @@ val infer : original:Csdfg.t -> retimed:Csdfg.t -> r option
     driver reconstructs the cumulative loop-pipelining depth for
     prologue/epilogue generation. *)
 
-(** {1 Clock-period minimisation (Leiserson–Saxe OPT)}
+(** {1 Clock-period minimisation}
 
-    Not used by cyclo-compaction itself, but the classical result the
-    rotation technique builds on; exposed for analysis and tests. *)
+    The classical result the paper's rotation builds on: the least clock
+    period (longest zero-delay path) any legal retiming reaches, found by
+    Leiserson and Saxe's FEAS test without their W/D matrices.  FEAS
+    repeatedly computes zero-delay arrival times on the retimed graph and
+    lowers [r v] wherever the arrival exceeds the period; at most |V|
+    rounds of O(V + E) each, in O(V + E) memory.  [ccsched show] prints
+    the result.  Each function below raises [Invalid_argument] when the
+    CSDFG is illegal. *)
 
 val clock_period : Csdfg.t -> int
 (** Maximum total node time along a zero-delay path (the length of an
-    unlimited-resource, zero-communication schedule).
-    @raise Invalid_argument when the CSDFG is illegal. *)
-
-val wd_matrices : Csdfg.t -> int array array * int array array
-(** The [(W, D)] matrices: [W.(u).(v)] is the minimum delay over paths
-    [u -> v] and [D.(u).(v)] the maximum time over minimum-delay paths;
-    [W] holds [Digraph.Paths.unreachable] where no path exists. *)
+    unlimited-resource, zero-communication schedule). *)
 
 val feasible : Csdfg.t -> period:int -> r option
-(** A legal retiming making the clock period at most [period], when one
-    exists. *)
+(** A legal retiming, normalized to minimum 0, making the clock period
+    at most [period], when one exists: FEAS, O(V (V + E)) time.  [None]
+    at once when [period] is below {!Csdfg.max_time}. *)
 
 val min_period : Csdfg.t -> int * r
 (** The minimum achievable clock period over all legal retimings, with a
-    witness retiming. *)
+    witness retiming.  It first probes the largest of two lower bounds,
+    {!Csdfg.max_time} and the ceiling of {!Iteration_bound.exact}, and
+    binary-searches the integers up to {!clock_period} only when that
+    probe fails: one FEAS run in the common case, otherwise one per
+    halving of the gap between the probe and {!clock_period}. *)

@@ -1,4 +1,4 @@
-(** Shortest- and longest-path algorithms.
+(** Single-source shortest paths (Dijkstra).
 
     Edge weights are supplied by a callback so the same graph can be
     measured along different attributes (hops, delay, volume, ...). *)
@@ -10,31 +10,6 @@ val dijkstra : 'e Graph.t -> weight:('e Graph.edge -> int) -> src:int -> int arr
 (** Single-source shortest distances with non-negative weights.
     Unreachable nodes get {!unreachable}.
     @raise Invalid_argument on a negative edge weight. *)
-
-val bellman_ford :
-  'e Graph.t -> weight:('e Graph.edge -> int) -> src:int -> int array option
-(** Single-source shortest distances with arbitrary weights.
-    [None] when a negative cycle is reachable from [src]. *)
-
-val has_negative_cycle : 'e Graph.t -> weight:('e Graph.edge -> int) -> bool
-(** Whether any negative-weight cycle exists (checked from a virtual
-    super-source connected to every node with weight 0). *)
-
-val feasible_potentials :
-  'e Graph.t -> weight:('e Graph.edge -> int) -> int array option
-(** A solution [p] to the difference constraints
-    [p.(dst) - p.(src) <= weight e] for every edge — i.e. shortest
-    distances from a virtual super-source.  [None] when the system is
-    infeasible (negative cycle).  This is the engine behind retiming
-    feasibility. *)
-
-val floyd_warshall :
-  'e Graph.t -> weight:('e Graph.edge -> int) -> int array array
-(** All-pairs shortest distances; {!unreachable} where no path exists.
-    @raise Invalid_argument when a negative cycle exists. *)
-
-val shortest_hops : 'e Graph.t -> src:int -> int array
-(** Unweighted (hop-count) distances; [-1] when unreachable. *)
 
 val path_to : dist:int array -> parent:int array -> int -> int list option
 (** Reconstruct a path from parent pointers produced by {!dijkstra_tree}. *)

@@ -395,34 +395,43 @@ let prop_can_retime_matches_can_rotate =
 (* Rotating every node of a weakly-connected component shifts its lags
    by a constant and changes no delay, so the raw lag vector would be a
    wrong key. *)
+let state_key_exact (nodes, seed, passes, relax) =
+  let g = lag_graph nodes seed in
+  let startup, steps = run_passes g ~seed ~passes ~relax in
+  let final = List.fold_left (fun _ (_, s) -> s) startup steps in
+  let adj = Schedule.adjacency final in
+  let n = Csdfg.n_nodes g in
+  let component v =
+    List.filter (fun w -> adj.root.(w) = adj.root.(v)) (List.init n Fun.id)
+  in
+  let whole = Schedule.retime final (component (seed mod n)) in
+  let pool = whole :: startup :: List.map snd steps in
+  let same a b =
+    Schedule.signature a = Schedule.signature b
+    && delays_of a = delays_of b
+  in
+  Schedule.state_key whole = Schedule.state_key final
+  && same whole final
+  && List.for_all
+       (fun a ->
+         List.for_all
+           (fun b ->
+             (Schedule.state_key a = Schedule.state_key b) = same a b)
+           pool)
+       pool
+
 let prop_state_key_exact =
   QCheck.Test.make ~count:200
     ~name:"repeated-state key equal iff placements and delays equal"
-    lag_arb
-    (fun (nodes, seed, passes, relax) ->
-      let g = lag_graph nodes seed in
-      let startup, steps = run_passes g ~seed ~passes ~relax in
-      let final = List.fold_left (fun _ (_, s) -> s) startup steps in
-      let adj = Schedule.adjacency final in
-      let n = Csdfg.n_nodes g in
-      let component v =
-        List.filter (fun w -> adj.root.(w) = adj.root.(v)) (List.init n Fun.id)
-      in
-      let whole = Schedule.retime final (component (seed mod n)) in
-      let pool = whole :: startup :: List.map snd steps in
-      let same a b =
-        Schedule.signature a = Schedule.signature b
-        && delays_of a = delays_of b
-      in
-      Schedule.state_hash whole = Schedule.state_hash final
-      && same whole final
-      && List.for_all
-           (fun a ->
-             List.for_all
-               (fun b ->
-                 (Schedule.state_hash a = Schedule.state_hash b) = same a b)
-               pool)
-           pool)
+    lag_arb state_key_exact
+
+(* Passes 2 and 5 of this strict run have equal placements and delays
+   2,1,0,1,1 against 2,3,0,1,1: relative lags that differ by -1 and +1
+   at two nodes, which cancel in a key that folds raw lags without
+   mixing each node's term. *)
+let test_state_key_collision () =
+  check_bool "distinct states, distinct keys" true
+    (state_key_exact (5, 4222, 5, false))
 
 (* The pass loop reads retimed delays off the lag vector: with the
    journal off, a validated run builds no retimed graph at all. *)
@@ -459,6 +468,8 @@ let () =
             prop_state_key_exact;
           ]
         @ [
+            Alcotest.test_case "repeated-state key collision case" `Quick
+              test_state_key_collision;
             Alcotest.test_case "pass loop builds no graph" `Quick
               test_pass_loop_builds_no_graph;
           ] );

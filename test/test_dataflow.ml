@@ -203,7 +203,7 @@ let test_clock_period () =
   check "clock period" 6 (Retiming.clock_period fig1b)
 
 let test_wd_matrices () =
-  let w, d = Retiming.wd_matrices fig1b in
+  let w, d = Retiming_oracle.wd_matrices fig1b in
   let idx l = Csdfg.node_of_label fig1b l in
   check "W(A,F) min delays" 0 w.(idx "A").(idx "F");
   check "D(A,F) longest zero-delay time" 6 d.(idx "A").(idx "F");
@@ -216,9 +216,39 @@ let test_min_period () =
   check_bool "witness legal" true (Retiming.is_legal fig1b r);
   check "witness achieves period" period
     (Retiming.clock_period (Retiming.apply fig1b r));
-  (* fig1b's iteration bound is 3 (cycle E->F->E): the zero-delay path
-     through E and F alone costs 3, so no retiming beats 3. *)
-  check_bool "period within known range" true (period >= 3 && period <= 6)
+  (* fig1b's iteration bound is 3 (cycle E->F->E), and a retiming
+     reaches it. *)
+  check "fig1b min period" 3 period
+
+(* Three nodes of time 3 on a cycle with two delays: the lower bounds
+   give max 3 (ceil 9/2) = 5, but every zero-delay path costs a multiple
+   of 3, so the probe at 5 fails and the binary search finds 6. *)
+let test_min_period_probe_miss () =
+  let g =
+    Csdfg.make ~name:"probe-miss"
+      ~nodes:[ ("A", 3); ("B", 3); ("C", 3) ]
+      ~edges:[ ("A", "B", 0, 1); ("B", "C", 1, 1); ("C", "A", 1, 1) ]
+  in
+  check "iteration bound ceiling" 5
+    (Option.get (Dataflow.Iteration_bound.exact_ceil g));
+  check_bool "probe at the bound fails" true
+    (Retiming.feasible g ~period:5 = None);
+  let period, r = Retiming.min_period g in
+  check "min period" 6 period;
+  check "oracle agrees" (fst (Retiming_oracle.min_period g)) period;
+  check "witness achieves it" 6 (Retiming.clock_period (Retiming.apply g r))
+
+let test_min_period_illegal () =
+  let g =
+    Csdfg.make ~name:"zero-loop" ~nodes:[ ("A", 1); ("B", 1) ]
+      ~edges:[ ("A", "B", 0, 1); ("B", "A", 0, 1) ]
+  in
+  Alcotest.check_raises "min_period"
+    (Invalid_argument "Retiming.clock_period: illegal CSDFG") (fun () ->
+      ignore (Retiming.min_period g));
+  Alcotest.check_raises "feasible"
+    (Invalid_argument "Retiming.feasible: illegal CSDFG") (fun () ->
+      ignore (Retiming.feasible g ~period:4))
 
 let test_feasible_absurd_period () =
   check_bool "period 1 infeasible for fig1b (t(B) = 2)" true
@@ -298,7 +328,10 @@ let test_iteration_bound_scale () =
       let g = Workloads.Random_gen.layered ~nodes ~seed:1 () in
       check (Printf.sprintf "layered-%d-1" nodes) want
         (Option.get (Dataflow.Iteration_bound.exact_ceil g)))
-    [ (400, 48); (1000, 29) ]
+    [ (400, 48); (1000, 29) ];
+  (* Past the W/D oracle's reach: O(V^3) takes about a minute here. *)
+  let g = Workloads.Random_gen.layered ~nodes:1000 ~seed:1 () in
+  check "layered-1000-1 min period" 29 (fst (Retiming.min_period g))
 
 (* ------------------------------------------------------------------ *)
 (* Transform                                                            *)
@@ -466,6 +499,10 @@ let () =
           Alcotest.test_case "clock period" `Quick test_clock_period;
           Alcotest.test_case "W/D matrices" `Quick test_wd_matrices;
           Alcotest.test_case "min period" `Quick test_min_period;
+          Alcotest.test_case "min period probe miss" `Quick
+            test_min_period_probe_miss;
+          Alcotest.test_case "min period illegal input" `Quick
+            test_min_period_illegal;
           Alcotest.test_case "infeasible period" `Quick test_feasible_absurd_period;
           Alcotest.test_case "current period feasible" `Quick
             test_feasible_current_period;

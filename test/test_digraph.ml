@@ -101,39 +101,6 @@ let test_equal () =
   check_bool "different edge counts" false (G.equal String.equal a c)
 
 (* ------------------------------------------------------------------ *)
-(* Traverse                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_dfs () =
-  let g = diamond () in
-  check_list_int "dfs from 0" [ 0; 1; 3; 2 ] (Digraph.Traverse.dfs_order g 0)
-
-let test_bfs_levels () =
-  let g = diamond () in
-  let lv = Digraph.Traverse.bfs_levels g 0 in
-  Alcotest.(check (array int)) "levels" [| 0; 1; 1; 2 |] lv
-
-let test_bfs_unreachable () =
-  let g = G.create ~n:3 [ edge 0 1 () ] in
-  let lv = Digraph.Traverse.bfs_levels g 0 in
-  check "unreachable marked" (-1) lv.(2)
-
-let test_reaches () =
-  let g = two_sccs () in
-  check_bool "0 reaches 4" true (Digraph.Traverse.reaches g ~src:0 ~dst:4);
-  check_bool "4 does not reach 0" false (Digraph.Traverse.reaches g ~src:4 ~dst:0)
-
-let test_roots_sinks () =
-  let g = diamond () in
-  check_list_int "roots" [ 0 ] (Digraph.Traverse.roots g);
-  check_list_int "sinks" [ 3 ] (Digraph.Traverse.sinks g)
-
-let test_postorder_covers_all () =
-  let g = two_sccs () in
-  check "postorder covers every node" 5
-    (List.length (Digraph.Traverse.postorder g))
-
-(* ------------------------------------------------------------------ *)
 (* Topo                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -249,32 +216,15 @@ let test_dijkstra_path () =
   check_bool "unreachable path is None" true
     (Digraph.Paths.path_to ~dist ~parent 99 = None)
 
-let test_bellman_ford_matches_dijkstra () =
-  let g = weighted () in
-  let w e = e.G.label in
-  match Digraph.Paths.bellman_ford g ~weight:w ~src:0 with
-  | None -> Alcotest.fail "no negative cycle here"
-  | Some d ->
-      Alcotest.(check (array int)) "agrees with dijkstra"
-        (Digraph.Paths.dijkstra g ~weight:w ~src:0)
-        d
-
-let test_bellman_ford_negative_edge () =
-  let g = G.create ~n:3 [ edge 0 1 5; edge 1 2 (-3) ] in
-  match Digraph.Paths.bellman_ford g ~weight:(fun e -> e.G.label) ~src:0 with
-  | None -> Alcotest.fail "no negative cycle"
-  | Some d -> check "negative edge ok" 2 d.(2)
-
+(* The difference-constraint solver the retiming oracle builds on. *)
 let test_negative_cycle_detected () =
   let g = G.create ~n:2 [ edge 0 1 1; edge 1 0 (-2) ] in
-  check_bool "detected" true
-    (Digraph.Paths.has_negative_cycle g ~weight:(fun e -> e.G.label));
-  check_bool "bellman_ford None" true
-    (Digraph.Paths.bellman_ford g ~weight:(fun e -> e.G.label) ~src:0 = None)
+  check_bool "infeasible" true
+    (Retiming_oracle.feasible_potentials g ~weight:(fun e -> e.G.label) = None)
 
 let test_feasible_potentials () =
   let g = G.create ~n:3 [ edge 0 1 2; edge 1 2 (-1); edge 2 0 0 ] in
-  match Digraph.Paths.feasible_potentials g ~weight:(fun e -> e.G.label) with
+  match Retiming_oracle.feasible_potentials g ~weight:(fun e -> e.G.label) with
   | None -> Alcotest.fail "system is feasible"
   | Some p ->
       G.iter_edges
@@ -282,18 +232,6 @@ let test_feasible_potentials () =
           check_bool "constraint satisfied" true
             (p.(e.G.dst) - p.(e.G.src) <= e.G.label))
         g
-
-let test_floyd_warshall () =
-  let g = weighted () in
-  let d = Digraph.Paths.floyd_warshall g ~weight:(fun e -> e.G.label) in
-  check "0->4" 7 d.(0).(4);
-  check "diag" 0 d.(2).(2);
-  check "unreachable" Digraph.Paths.unreachable d.(4).(0)
-
-let test_shortest_hops () =
-  let g = diamond () in
-  let d = Digraph.Paths.shortest_hops g ~src:0 in
-  Alcotest.(check (array int)) "hops" [| 0; 1; 1; 2 |] d
 
 (* ------------------------------------------------------------------ *)
 (* Cycles                                                               *)
@@ -489,24 +427,6 @@ let test_dot_escaping () =
 (* Extra edge cases                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let test_dfs_on_cyclic () =
-  let g = G.create ~n:3 [ edge 0 1 (); edge 1 2 (); edge 2 0 () ] in
-  check_list_int "visits each node once" [ 0; 1; 2 ]
-    (Digraph.Traverse.dfs_order g 0)
-
-let test_floyd_negative_cycle_rejected () =
-  let g = G.create ~n:2 [ edge 0 1 1; edge 1 0 (-3) ] in
-  check_bool "raises" true
-    (match Digraph.Paths.floyd_warshall g ~weight:(fun e -> e.G.label) with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-let test_bellman_ford_unreachable () =
-  let g = G.create ~n:3 [ edge 0 1 2 ] in
-  match Digraph.Paths.bellman_ford g ~weight:(fun e -> e.G.label) ~src:0 with
-  | None -> Alcotest.fail "no negative cycle"
-  | Some d -> check "unreachable sentinel" Digraph.Paths.unreachable d.(2)
-
 let test_max_ratio_parallel_self_loops () =
   (* two parallel self-loops: the maximum ratio is the heavier one *)
   let g = G.create ~n:1 [ edge 0 0 (7, 2); edge 0 0 (3, 1) ] in
@@ -570,15 +490,6 @@ let () =
           Alcotest.test_case "self_loops" `Quick test_self_loops;
           Alcotest.test_case "equal" `Quick test_equal;
         ] );
-      ( "traverse",
-        [
-          Alcotest.test_case "dfs" `Quick test_dfs;
-          Alcotest.test_case "bfs levels" `Quick test_bfs_levels;
-          Alcotest.test_case "bfs unreachable" `Quick test_bfs_unreachable;
-          Alcotest.test_case "reaches" `Quick test_reaches;
-          Alcotest.test_case "roots/sinks" `Quick test_roots_sinks;
-          Alcotest.test_case "postorder" `Quick test_postorder_covers_all;
-        ] );
       ( "topo",
         [
           Alcotest.test_case "sort" `Quick test_topo_sort;
@@ -603,14 +514,8 @@ let () =
           Alcotest.test_case "dijkstra unreachable" `Quick test_dijkstra_unreachable;
           Alcotest.test_case "dijkstra negative" `Quick test_dijkstra_negative_rejected;
           Alcotest.test_case "dijkstra path" `Quick test_dijkstra_path;
-          Alcotest.test_case "bellman-ford vs dijkstra" `Quick
-            test_bellman_ford_matches_dijkstra;
-          Alcotest.test_case "bellman-ford negative edge" `Quick
-            test_bellman_ford_negative_edge;
           Alcotest.test_case "negative cycle" `Quick test_negative_cycle_detected;
           Alcotest.test_case "feasible potentials" `Quick test_feasible_potentials;
-          Alcotest.test_case "floyd-warshall" `Quick test_floyd_warshall;
-          Alcotest.test_case "shortest hops" `Quick test_shortest_hops;
         ] );
       ( "cycles",
         [
@@ -645,11 +550,6 @@ let () =
         ] );
       ( "edge-cases",
         [
-          Alcotest.test_case "dfs cyclic" `Quick test_dfs_on_cyclic;
-          Alcotest.test_case "floyd negative cycle" `Quick
-            test_floyd_negative_cycle_rejected;
-          Alcotest.test_case "bellman-ford unreachable" `Quick
-            test_bellman_ford_unreachable;
           Alcotest.test_case "karp parallel self loops" `Quick
             test_max_ratio_parallel_self_loops;
           test_max_ratio_matches_enumeration;

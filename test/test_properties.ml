@@ -89,6 +89,34 @@ let prop_min_period_witness =
       Retiming.is_legal g r
       && Retiming.clock_period (Retiming.apply g r) <= period)
 
+(* FEAS against the W/D oracle on graphs of 1..14 nodes, some
+   disconnected, some acyclic (no feedback edge), node times up to 4. *)
+let prop_min_period_matches_oracle =
+  QCheck.Test.make ~count:500 ~name:"min_period and feasible = W/D oracle"
+    seed_arb (fun seed ->
+      let params =
+        {
+          small_params with
+          nodes = 1 + (seed mod 14);
+          feedback_edges = seed mod 5;
+          max_time = 1 + (seed / 14 mod 4);
+        }
+      in
+      let g = Workloads.Random_gen.generate ~params ~seed () in
+      let period, _ = Retiming.min_period g in
+      let agrees p =
+        match
+          (Retiming.feasible g ~period:p, Retiming_oracle.feasible g ~period:p)
+        with
+        | None, None -> true
+        | Some r, Some _ ->
+            Retiming.is_legal g r
+            && Retiming.clock_period (Retiming.apply g r) <= p
+        | _ -> false
+      in
+      period = fst (Retiming_oracle.min_period g)
+      && List.for_all agrees (List.init (Retiming.clock_period g) succ))
+
 let prop_iteration_bound_matches_enumeration =
   (* Graphs of 4..40 nodes; those with more circuits than the oracle
      lists are skipped. *)
@@ -407,6 +435,7 @@ let () =
           prop_rotation_preserves_cycle_delays;
           prop_rotation_keeps_legality;
           prop_min_period_witness;
+          prop_min_period_matches_oracle;
           prop_iteration_bound_matches_enumeration;
         ];
       suite "scheduling"
